@@ -90,7 +90,6 @@ func runCtx(ctx context.Context, args []string) int {
 		retries      = fs.Int("retries", -1, "control-frame retry budget for -fig faultsweep (-1 = policy default)")
 		failSpec     = fs.String("fail", "", "injected link outages for -fig faultsweep, e.g. \"100@3+50,400@7+25\" (slot@link+duration)")
 		workers      = fs.Int("workers", 0, "goroutines for independent sweep cells (0 = one per CPU, 1 = sequential reference; output is identical either way)")
-		priceWorkers = fs.Int("pricer-workers", 0, "goroutines per pricing search (0 or 1 = serial exact pricer)")
 		probeCache   = fs.Bool("probe-cache", false, "memoize pricing feasibility probes across iterations (identical output; see DESIGN.md §9 for when this pays)")
 		verbose      = fs.Bool("v", false, "print solver telemetry (probes, master solves, cache hit rate) to stderr")
 		traceFile    = fs.String("trace", "", "record structured solver trace events (JSONL) to this file")
@@ -125,7 +124,6 @@ func runCtx(ctx context.Context, args []string) int {
 		cfg.PMax = *pmax
 	}
 	cfg.Workers = *workers
-	cfg.PricerWorkers = *priceWorkers
 	cfg.CacheProbes = *probeCache
 	cfg.Ctx = ctx
 	var tel *experiment.Telemetry

@@ -31,6 +31,14 @@ import (
 	"mmwave/internal/pncd"
 )
 
+// Server timeouts: a client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after
+// idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
@@ -81,7 +89,13 @@ func run(addr, addrFile, state string, workers int, watchdog time.Duration,
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	hs := &http.Server{Handler: srv.Handler()}
+	// No WriteTimeout: ?follow=1 report streams stay open for as long
+	// as the client listens.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

@@ -157,7 +157,6 @@ type Solve struct {
 	Tolerance     float64 `json:"tolerance,omitempty"`
 	GapTarget     float64 `json:"gap_target,omitempty"`
 	PricerBudget  int     `json:"pricer_budget,omitempty"`
-	PricerWorkers int     `json:"pricer_workers,omitempty"`
 }
 
 // ToOptions lowers the wire solve spec onto core.Options.
@@ -174,9 +173,6 @@ func (s Solve) ToOptions() core.Options {
 	}
 	if s.PricerBudget > 0 {
 		opts = append(opts, core.WithPricer(core.NewBranchBoundPricer(s.PricerBudget)))
-	}
-	if s.PricerWorkers > 0 {
-		opts = append(opts, core.WithPricerWorkers(s.PricerWorkers))
 	}
 	return core.NewOptions(opts...)
 }

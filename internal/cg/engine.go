@@ -86,12 +86,9 @@ type Options struct {
 	// Tracer receives per-iteration trace events; nil falls back to the
 	// tracer carried by the Run context, then to the no-op tracer.
 	Tracer *obs.Tracer
-	// Metrics, when non-nil, receives the run's Stats delta under
-	// MetricsPrefix plus the engine's own cg_warm_*/cg_gc_* counters.
+	// Metrics, when non-nil, receives the run's Stats delta as core_*
+	// counters plus the engine's own cg_warm_*/cg_gc_* counters.
 	Metrics *obs.Registry
-	// MetricsPrefix namespaces the published Stats ("core" for both
-	// solvers, keeping the historical counter names).
-	MetricsPrefix string
 }
 
 // Outcome is the raw result of one engine run; the owning solver
@@ -167,7 +164,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 	before := st.stats
 	defer func() {
 		out.Stats = st.stats.delta(before)
-		out.Stats.Publish(e.opts.Metrics, e.opts.MetricsPrefix)
+		out.Stats.Publish(e.opts.Metrics)
 		e.publishRun(out)
 		st.runs++
 		st.lastDuals = out.Duals
@@ -190,7 +187,6 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		heur = nil
 	}
 	colHist := e.opts.Metrics.Histogram("cg_columns_per_round")
-	keepPace := e.opts.HeuristicFirst.keepPace()
 	lastPhi := 0.0       // last exact round's best reduced cost (≤ 0)
 	exactHalted := false // last exact round hit its budget mid-search
 
@@ -482,7 +478,6 @@ func (e *Engine) publishRun(out *Outcome) {
 	m.Counter("cg_heuristic_price_hits_total").Add(int64(out.Stats.HeuristicHits))
 	m.Counter("cg_exact_fallbacks_total").Add(int64(out.Stats.ExactFallbacks))
 	m.Gauge("cg_pool_columns").Set(float64(e.state.pool.Len()))
-	m.Counter("cg_lp_ft_updates_total").Add(int64(out.Stats.LPEtaUpdates))
 	if e.state.lastFill > 0 {
 		m.Gauge("cg_lp_fill_ratio").Set(e.state.lastFill)
 	}

@@ -6,7 +6,7 @@ import "mmwave/internal/obs"
 // internal/core embeds it (via a type alias) in Result and
 // QualityResult, so `res.Probes` keeps reading naturally, and it is
 // the single shape the observability layer consumes: Publish folds a
-// Stats into an obs.Registry under a component prefix.
+// Stats into an obs.Registry as core_* counters.
 type Stats struct {
 	// Rounds counts column-generation rounds (pricing calls).
 	Rounds int
@@ -73,13 +73,14 @@ func (s Stats) delta(prev Stats) Stats {
 	}
 }
 
-// Publish folds the stats into the registry as `<prefix>_*_total`
-// counters. A nil registry is a no-op, so callers publish
-// unconditionally.
-func (s Stats) Publish(m *obs.Registry, prefix string) {
+// Publish folds the stats into the registry as `core_*_total`
+// counters (the solver-level names both core solvers share). A nil
+// registry is a no-op, so callers publish unconditionally.
+func (s Stats) Publish(m *obs.Registry) {
 	if m == nil {
 		return
 	}
+	const prefix = "core"
 	m.Counter(prefix + "_cg_rounds_total").Add(int64(s.Rounds))
 	m.Counter(prefix + "_probes_total").Add(int64(s.Probes))
 	m.Counter(prefix + "_master_solves_total").Add(int64(s.MasterSolves))

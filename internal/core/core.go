@@ -42,26 +42,17 @@ import (
 type (
 	// Pricer finds a high-value feasible schedule under dual prices.
 	Pricer = cg.Pricer
-	// ContextPricer is a Pricer cancelable mid-search.
-	ContextPricer = cg.ContextPricer
-	// CachedPricer is a ContextPricer whose feasibility probes can be
-	// served from a solver-owned cache.
-	CachedPricer = cg.CachedPricer
-	// PriceResult is the outcome of one pricing round.
-	PriceResult = cg.PriceResult
-	// IterationStat records one column-generation iteration.
-	IterationStat = cg.IterationStat
 	// Stats consolidates the work counters of one solve.
 	Stats = cg.Stats
 )
 
 // Result is the outcome of a column-generation solve.
 type Result struct {
-	Plan       Plan            // the optimal (or best found) schedule plan
-	Iterations []IterationStat // per-iteration telemetry
-	LowerBound float64         // best proven lower bound on the P1 optimum, seconds
-	Converged  bool            // true when Φ ≥ −tolerance with exact pricing
-	Duals      Duals           // final simplex multipliers
+	Plan       Plan               // the optimal (or best found) schedule plan
+	Iterations []cg.IterationStat // per-iteration telemetry
+	LowerBound float64            // best proven lower bound on the P1 optimum, seconds
+	Converged  bool               // true when Φ ≥ −tolerance with exact pricing
+	Duals      Duals              // final simplex multipliers
 
 	// Warm reports that the solve reused the pool and basis of a
 	// previous solve on the same solver (SetDemands re-solve, PNC
@@ -178,10 +169,6 @@ type Options struct {
 	// feasibility is preserved. The zero value disables collection —
 	// single-shot solves never need it.
 	ColumnGC cg.GCPolicy
-	// PricerWorkers sets the parallel root-split width of the default
-	// branch-and-bound pricer constructed when Pricer is nil (0 means
-	// sequential). Explicit pricers carry their own parallelism.
-	PricerWorkers int
 	// Stabilization governs dual stabilization in the engine loop
 	// (DESIGN.md §17): pricing runs at smoothed duals inside a
 	// shrinking trust region, with exactness restored by the final
@@ -225,7 +212,7 @@ type Options struct {
 // greedy pricer rides along as the cancellation fallback: its
 // interference-free relaxation is always a valid Φ′ for the final
 // anytime bound.
-func (o Options) engineOptions(prefix string) cg.Options {
+func (o Options) engineOptions() cg.Options {
 	return cg.Options{
 		Pricer:         o.Pricer,
 		Fallback:       GreedyPricer{},
@@ -240,8 +227,18 @@ func (o Options) engineOptions(prefix string) cg.Options {
 		LPOpts:         o.LPOpts,
 		Tracer:         o.Tracer,
 		Metrics:        o.Metrics,
-		MetricsPrefix:  prefix,
 	}
+}
+
+// withDefaultPricer fills a nil Pricer with the default
+// branch-and-bound pricer, pooling leaves per the multi-column policy.
+func (o Options) withDefaultPricer() Options {
+	if o.Pricer == nil {
+		p := NewBranchBoundPricer(0)
+		p.PoolLeaves = o.MultiColumn.Columns()
+		o.Pricer = p
+	}
+	return o
 }
 
 // heuristicPricer picks the heuristic-first pricer for the engine: the
@@ -321,17 +318,12 @@ func NewSolver(nw *netmodel.Network, demands []video.Demand, opts Options) (*Sol
 	if err := checkClasses(nw, opts.Classes); err != nil {
 		return nil, err
 	}
-	if opts.Pricer == nil {
-		p := NewBranchBoundPricer(0)
-		p.Parallel = opts.PricerWorkers
-		p.PoolLeaves = opts.MultiColumn.Columns()
-		opts.Pricer = p
-	}
+	opts = opts.withDefaultPricer()
 
 	s := &Solver{nw: nw, demands: append([]video.Demand(nil), demands...), opts: opts}
 	state := cg.NewState(opts.CacheProbes)
 	state.Seed(schedule.TDMA(nw))
-	s.engine = cg.NewEngine(nw, &p1Model{s: s}, state, opts.engineOptions("core"))
+	s.engine = cg.NewEngine(nw, &p1Model{s: s}, state, opts.engineOptions())
 
 	// Every link with positive demand must be coverable by some column.
 	if err := s.checkCoverage(demands); err != nil {
@@ -369,18 +361,13 @@ func NewSolverFromSnapshot(nw *netmodel.Network, demands []video.Demand, opts Op
 	if err := snap.ValidateAgainst(nw); err != nil {
 		return nil, err
 	}
-	if opts.Pricer == nil {
-		p := NewBranchBoundPricer(0)
-		p.Parallel = opts.PricerWorkers
-		p.PoolLeaves = opts.MultiColumn.Columns()
-		opts.Pricer = p
-	}
+	opts = opts.withDefaultPricer()
 	state, err := cg.RestoreState(snap, opts.CacheProbes)
 	if err != nil {
 		return nil, err
 	}
 	s := &Solver{nw: nw, demands: append([]video.Demand(nil), demands...), opts: opts}
-	s.engine = cg.NewEngine(nw, &p1Model{s: s}, state, opts.engineOptions("core"))
+	s.engine = cg.NewEngine(nw, &p1Model{s: s}, state, opts.engineOptions())
 	if err := s.checkCoverage(demands); err != nil {
 		return nil, err
 	}
@@ -551,7 +538,7 @@ func (m *p1Model) Duals(sol *lp.Solution) [][]float64 {
 func (m *p1Model) Upper(sol *lp.Solution) float64 { return sol.Objective }
 
 // Bound forms the Theorem-1 lower bound from one pricing round.
-func (m *p1Model) Bound(upper float64, pr *PriceResult) (float64, bool) {
+func (m *p1Model) Bound(upper float64, pr *cg.PriceResult) (float64, bool) {
 	return cg.TheoremBound(upper, pr), true
 }
 

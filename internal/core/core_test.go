@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mmwave/internal/cg"
 	"mmwave/internal/channel"
 	"mmwave/internal/geom"
 	"mmwave/internal/lp"
@@ -437,7 +438,7 @@ func TestPricerCrossValidation(t *testing.T) {
 			t.Errorf("trial %d: bb value %v != milp value %v", trial, bb.Value, ml.Value)
 		}
 		// Both returned schedules must be feasible and price-consistent.
-		for name, pr := range map[string]*PriceResult{"bb": bb, "milp": ml} {
+		for name, pr := range map[string]*cg.PriceResult{"bb": bb, "milp": ml} {
 			if pr.Schedule == nil {
 				continue
 			}

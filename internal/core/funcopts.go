@@ -47,11 +47,6 @@ func WithProbeCache(on bool) Option { return func(o *Options) { o.CacheProbes = 
 // that stayed nonbasic for policy.MinAge solves.
 func WithColumnGC(policy cg.GCPolicy) Option { return func(o *Options) { o.ColumnGC = policy } }
 
-// WithPricerWorkers sets the parallel root-split width used when the
-// solver constructs its default branch-and-bound pricer (ignored for
-// explicitly supplied pricers, which carry their own parallelism).
-func WithPricerWorkers(n int) Option { return func(o *Options) { o.PricerWorkers = n } }
-
 // WithStabilization sets the dual-stabilization policy (see
 // Options.Stabilization). The zero policy enables stabilization with
 // defaults; pass cg.StabilizePolicy{Disable: true} to reproduce the

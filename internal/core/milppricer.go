@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mmwave/internal/cg"
 	"mmwave/internal/milp"
 	"mmwave/internal/netmodel"
 	"mmwave/internal/schedule"
@@ -47,24 +48,24 @@ type MILPPricer struct {
 	lastShape [2]int // (vars, rows) the cached basis belongs to
 }
 
-var _ ContextPricer = (*MILPPricer)(nil)
+var _ cg.ContextPricer = (*MILPPricer)(nil)
 
 // String implements Pricer.
 func (p *MILPPricer) String() string { return "milp" }
 
 // Price implements Pricer.
-func (p *MILPPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
+func (p *MILPPricer) Price(nw *netmodel.Network, lambda [][]float64) (*cg.PriceResult, error) {
 	return p.price(nil, nw, lambda)
 }
 
 // PriceContext implements ContextPricer: the branch and bound is
 // canceled mid-search when ctx expires, returning the incumbent found
 // so far (possibly none) with the valid best-first dual bound.
-func (p *MILPPricer) PriceContext(ctx context.Context, nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
+func (p *MILPPricer) PriceContext(ctx context.Context, nw *netmodel.Network, lambda [][]float64) (*cg.PriceResult, error) {
 	return p.price(ctx.Done(), nw, lambda)
 }
 
-func (p *MILPPricer) price(cancel <-chan struct{}, nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
+func (p *MILPPricer) price(cancel <-chan struct{}, nw *netmodel.Network, lambda [][]float64) (*cg.PriceResult, error) {
 	L := nw.NumLinks()
 	K := nw.NumChannels
 	Q := nw.Rates.Levels()
@@ -242,7 +243,7 @@ func (p *MILPPricer) price(cancel <-chan struct{}, nw *netmodel.Network, lambda 
 		return nil, fmt.Errorf("core: milp pricer ended with status %v", sol.Status)
 	}
 
-	res := &PriceResult{
+	res := &cg.PriceResult{
 		Exact:      sol.Status == milp.StatusOptimal,
 		RelaxValue: -sol.Bound, // lower bound of min → upper bound of Ψ
 		Nodes:      sol.Nodes,

@@ -3,11 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
+	"mmwave/internal/cg"
 	"mmwave/internal/netmodel"
 	"mmwave/internal/schedule"
 )
@@ -44,24 +43,11 @@ type BranchBoundPricer struct {
 	// ablation (Benchmark 2 lacks power control).
 	FixedPower bool
 
-	// Parallel, when > 1, splits the search at the root across this
-	// many goroutines sharing an atomic incumbent and one probe
-	// budget. The Theorem-1 bound and the Exact flag keep their exact
-	// semantics (the maximal pricing value is still proved when the
-	// search completes), but among schedules of exactly equal value the
-	// returned one may differ between runs, so the serial path
-	// (Parallel ≤ 1, the default) remains the reproducibility
-	// reference.
-	Parallel int
-
 	// PoolLeaves, when > 0, pools up to this many improving complete
 	// DFS leaves (pricing value > 1, i.e. negative reduced cost) and
 	// returns them in PriceResult.Extras for multi-column admission.
-	// Collection is passive — pruning and the returned argmax are
-	// untouched — and serial-only: under Parallel > 1 the shared
-	// incumbent makes the set of *reached* leaves timing-dependent, so
-	// pooling is skipped there to keep parallel pricing's result
-	// reproducible.
+	// Collection is passive: pruning and the returned argmax are
+	// untouched.
 	PoolLeaves int
 
 	// referenceProbes (test-only) answers every feasibility probe with
@@ -69,17 +55,13 @@ type BranchBoundPricer struct {
 	// probe solver, for fast-vs-reference equivalence tests.
 	referenceProbes bool
 
-	// statePool recycles worker DFS states (incl. their probe solvers
-	// and scratch) across pricing calls and root-split tasks. States
-	// are goroutine-local while checked out, which keeps the parallel
-	// pricer race-free and byte-identical to the serial one.
+	// statePool recycles DFS states (incl. their probe solvers and
+	// scratch) across pricing calls. A state belongs to one call while
+	// checked out, so one pricer may serve concurrent solves.
 	statePool sync.Pool
 }
 
-var (
-	_ ContextPricer = (*BranchBoundPricer)(nil)
-	_ CachedPricer  = (*BranchBoundPricer)(nil)
-)
+var _ cg.CachedPricer = (*BranchBoundPricer)(nil)
 
 // defaultPricerBudget bounds pricing feasibility probes per call. Each
 // probe is one power-control feasibility test, the unit of real work
@@ -104,9 +86,6 @@ func (p *BranchBoundPricer) String() string {
 	if p.FixedPower {
 		s += ", fixed-power"
 	}
-	if p.Parallel > 1 {
-		s += fmt.Sprintf(", workers=%d", p.Parallel)
-	}
 	return s + ")"
 }
 
@@ -120,46 +99,19 @@ type candidate struct {
 	chOrder []int   // channels in descending direct-gain order
 }
 
-// searchCtl is the control block shared by every worker of one pricing
-// call: the global incumbent value, the probe budget, and the halt
-// flag. The serial search uses it too (with exactly one worker), so
-// serial and parallel runs share one code path.
-type searchCtl struct {
-	budget int64
-	probes atomic.Int64  // feasibility probes consumed (budget unit)
-	best   atomic.Uint64 // Float64bits of the best value found anywhere
-	halt   atomic.Bool   // budget exhausted or context canceled
-
-	// done, when non-nil, is polled periodically so an expired solve
-	// budget halts the search mid-tree; the best-so-far incumbent and
-	// the upfront relaxation bound stay valid.
-	done <-chan struct{}
-}
-
-// bestVal returns the shared incumbent value (pricing values are
-// non-negative, so the zero bit pattern is a valid floor).
-func (ctl *searchCtl) bestVal() float64 { return math.Float64frombits(ctl.best.Load()) }
-
-// offer raises the shared incumbent to v if it improves it.
-func (ctl *searchCtl) offer(v float64) {
-	for {
-		cur := ctl.best.Load()
-		if math.Float64frombits(cur) >= v {
-			return
-		}
-		if ctl.best.CompareAndSwap(cur, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// pricerState is one worker's mutable DFS state.
+// pricerState is the mutable DFS state of one pricing call.
 type pricerState struct {
 	nw         *netmodel.Network
 	cands      []candidate
-	suffixBest []float64 // suffixBest[i] = Σ_{j≥i} cands[j].best
-	ctl        *searchCtl
+	suffixBest []float64            // suffixBest[i] = Σ_{j≥i} cands[j].best
 	cache      *netmodel.ProbeCache // nil when probing uncached
+
+	// budget caps feasibility probes; done, when non-nil, is polled
+	// periodically so an expired solve budget halts the search
+	// mid-tree. Either way the best-so-far incumbent and the upfront
+	// relaxation bound stay valid.
+	budget int
+	done   <-chan struct{}
 
 	chActive   [][]int     // per channel: active candidate indices (into cands)
 	chLevels   [][]float64 // per channel: γ thresholds parallel to chActive
@@ -173,20 +125,19 @@ type pricerState struct {
 	bestAssign []assignChoice
 
 	// Leaf pool (multi-column pricing): the top poolLeaves improving,
-	// activation-diverse
-	// complete assignments seen by the DFS, value-keyed, buffers
-	// recycled across calls. poolLeaves is 0 unless the owning pricer
-	// enables pooling for this (serial) search.
+	// activation-diverse complete assignments seen by the DFS,
+	// value-keyed, buffers recycled across calls. poolLeaves is 0
+	// unless the owning pricer enables pooling.
 	poolLeaves  int
 	leafVals    []float64
 	leafSigs    []uint64
 	leafAssigns [][]assignChoice
 
 	nodes      int // dfs nodes (telemetry)
-	probes     int // this worker's feasibility probes (telemetry)
+	probes     int // feasibility probes consumed (budget unit)
 	cacheHits  int // probes answered by the cache (telemetry)
 	lastPoll   int
-	halted     bool
+	halted     bool // budget exhausted or context canceled
 	fixedPower bool
 	reference  bool // test-only: answer probes with the full pivoted solve
 
@@ -216,7 +167,7 @@ type assignChoice struct {
 }
 
 // Price implements Pricer.
-func (p *BranchBoundPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
+func (p *BranchBoundPricer) Price(nw *netmodel.Network, lambda [][]float64) (*cg.PriceResult, error) {
 	return p.price(nil, nw, lambda, nil)
 }
 
@@ -224,7 +175,7 @@ func (p *BranchBoundPricer) Price(nw *netmodel.Network, lambda [][]float64) (*Pr
 // halts mid-tree on cancellation, returning the best schedule found so
 // far with Exact=false and the valid interference-free relaxation
 // bound.
-func (p *BranchBoundPricer) PriceContext(ctx context.Context, nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
+func (p *BranchBoundPricer) PriceContext(ctx context.Context, nw *netmodel.Network, lambda [][]float64) (*cg.PriceResult, error) {
 	return p.price(ctx.Done(), nw, lambda, nil)
 }
 
@@ -233,7 +184,7 @@ func (p *BranchBoundPricer) PriceContext(ctx context.Context, nw *netmodel.Netwo
 // probe cache. Cached answers still consume probe budget, so the
 // search explores the same tree either way — the cache only removes
 // the linear-algebra cost of repeat probes.
-func (p *BranchBoundPricer) PriceWithCache(ctx context.Context, nw *netmodel.Network, lambda [][]float64, cache *netmodel.ProbeCache) (*PriceResult, error) {
+func (p *BranchBoundPricer) PriceWithCache(ctx context.Context, nw *netmodel.Network, lambda [][]float64, cache *netmodel.ProbeCache) (*cg.PriceResult, error) {
 	return p.price(ctx.Done(), nw, lambda, cache)
 }
 
@@ -250,7 +201,7 @@ func checkDuals(nw *netmodel.Network, lambda [][]float64) error {
 	return nil
 }
 
-func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, lambda [][]float64, cache *netmodel.ProbeCache) (*PriceResult, error) {
+func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, lambda [][]float64, cache *netmodel.ProbeCache) (*cg.PriceResult, error) {
 	L := nw.NumLinks()
 	if err := checkDuals(nw, lambda); err != nil {
 		return nil, err
@@ -317,7 +268,7 @@ func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, la
 	}
 
 	if len(cands) == 0 {
-		return &PriceResult{Schedule: nil, Value: 0, Exact: true, RelaxValue: 0}, nil
+		return &cg.PriceResult{Schedule: nil, Value: 0, Exact: true, RelaxValue: 0}, nil
 	}
 
 	sort.Slice(cands, func(i, j int) bool { return cands[i].best > cands[j].best })
@@ -345,58 +296,38 @@ func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, la
 		}
 	}
 
-	ctl := &searchCtl{budget: int64(p.nodeBudget), done: done}
+	st := p.getState(done, nw, cands, suffix, sibling, cache)
+	defer p.putState(st)
 
 	// Seed the incumbent with the greedy heuristic: a strong initial
 	// bound prunes most of the tree, and the exact search can only
 	// improve on it.
-	var seedVal float64
-	var seedAssign []assignChoice
 	if !p.FixedPower {
 		if seed, err := (GreedyPricer{}).Price(nw, lambda); err == nil && seed.Schedule != nil {
 			if assign, ok := seedAssignment(cands, seed.Schedule); ok {
-				seedVal, seedAssign = seed.Value, assign
-				ctl.offer(seedVal)
+				st.bestVal, st.bestAssign = seed.Value, assign
 			}
 		}
 	}
+	st.dfs(0, 0)
 
-	var bestVal float64
-	var bestAssign []assignChoice
-	var extras []*schedule.Schedule
-	var nodes, cacheHits int
-	halted := false
-
-	if p.Parallel > 1 {
-		bestVal, bestAssign, nodes, cacheHits, halted = p.searchParallel(ctl, nw, cands, suffix, sibling, cache, seedVal, seedAssign)
-	} else {
-		st := p.getState(ctl, nw, cands, suffix, sibling, cache)
-		st.poolLeaves = p.PoolLeaves
-		st.bestVal, st.bestAssign = seedVal, seedAssign
-		st.dfs(0, 0)
-		bestVal, bestAssign = st.bestVal, st.bestAssign
-		nodes, cacheHits, halted = st.nodes, st.cacheHits, st.halted
-		extras = st.buildLeafPool(nw, cands, bestAssign, p.FixedPower)
-		p.putState(st)
-	}
-
-	res := &PriceResult{
-		Value:     bestVal,
-		Exact:     !halted,
-		Nodes:     nodes,
-		Probes:    int(ctl.probes.Load()),
-		CacheHits: cacheHits,
+	res := &cg.PriceResult{
+		Value:     st.bestVal,
+		Exact:     !st.halted,
+		Nodes:     st.nodes,
+		Probes:    st.probes,
+		CacheHits: st.cacheHits,
 		// Under truncation the interference-free relaxation Σ best_l is
 		// a loose but valid upper bound on Ψ*; with an exhausted search
 		// the found value itself is the tight bound.
 		RelaxValue: relax,
+		Extras:     st.buildLeafPool(nw, cands, st.bestAssign, p.FixedPower),
 	}
-	if !halted {
-		res.RelaxValue = bestVal
+	if !st.halted {
+		res.RelaxValue = st.bestVal
 	}
-	res.Extras = extras
-	if bestVal > 0 && bestAssign != nil {
-		sched, err := buildSchedule(nw, cands, bestAssign, p.FixedPower)
+	if st.bestVal > 0 && st.bestAssign != nil {
+		sched, err := buildSchedule(nw, cands, st.bestAssign, p.FixedPower)
 		if err != nil {
 			return nil, err
 		}
@@ -405,16 +336,16 @@ func (p *BranchBoundPricer) price(done <-chan struct{}, nw *netmodel.Network, la
 	return res, nil
 }
 
-// getState checks a worker DFS state out of the pricer's pool and
-// re-arms it for the given search. Pool reuse keeps the per-call and
-// per-task allocation cost near zero; a state is owned by exactly one
-// goroutine between getState and putState.
-func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int, cache *netmodel.ProbeCache) *pricerState {
+// getState checks a DFS state out of the pricer's pool and re-arms it
+// for the given search. Pool reuse keeps the per-call allocation cost
+// near zero.
+func (p *BranchBoundPricer) getState(done <-chan struct{}, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int, cache *netmodel.ProbeCache) *pricerState {
 	st, _ := p.statePool.Get().(*pricerState)
 	if st == nil {
 		st = &pricerState{}
 	}
-	st.ctl = ctl
+	st.budget = p.nodeBudget
+	st.done = done
 	st.cands = cands
 	st.suffixBest = suffix
 	st.sibling = sibling
@@ -424,7 +355,7 @@ func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands
 	st.bestVal, st.bestAssign = 0, nil
 	st.nodes, st.probes, st.cacheHits, st.lastPoll = 0, 0, 0, 0
 	st.halted = false
-	st.poolLeaves = 0
+	st.poolLeaves = p.PoolLeaves
 	st.leafVals = st.leafVals[:0]
 	st.leafSigs = st.leafSigs[:0]
 	st.leafAssigns = st.leafAssigns[:0]
@@ -463,89 +394,11 @@ func (p *BranchBoundPricer) getState(ctl *searchCtl, nw *netmodel.Network, cands
 	return st
 }
 
-// putState returns a state to the pool. The caller must have copied
-// out bestAssign/counters it still needs (bestAssign slices are fresh
-// per improvement, so references remain valid after recycling).
+// putState returns a state to the pool, dropping its incumbent so the
+// pool does not pin it.
 func (p *BranchBoundPricer) putState(st *pricerState) {
 	st.bestAssign = nil
 	p.statePool.Put(st)
-}
-
-// searchParallel splits the DFS at the root: every (channel, level)
-// activation of the first candidate — plus its idle branch — becomes a
-// task, and p.Parallel workers drain the task queue sharing ctl's
-// incumbent and probe budget. Together the tasks cover exactly the
-// branches the serial root node iterates, so a completed search proves
-// the same maximal value.
-func (p *BranchBoundPricer) searchParallel(ctl *searchCtl, nw *netmodel.Network, cands []candidate, suffix []float64, sibling [][]int, cache *netmodel.ProbeCache, seedVal float64, seedAssign []assignChoice) (bestVal float64, bestAssign []assignChoice, nodes, cacheHits int, halted bool) {
-	c0 := &cands[0]
-	var tasks []assignChoice
-	for _, k := range c0.chOrder {
-		for q := c0.qmax[k]; q >= 0; q-- {
-			tasks = append(tasks, assignChoice{channel: k, level: q})
-		}
-	}
-	tasks = append(tasks, assignChoice{channel: -1}) // idle branch
-
-	workers := p.Parallel
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	type workerResult struct {
-		val       float64
-		assign    []assignChoice
-		task      int
-		nodes     int
-		cacheHits int
-		halted    bool
-	}
-	results := make([]workerResult, len(tasks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ti := int(next.Add(1)) - 1
-				if ti >= len(tasks) {
-					return
-				}
-				task := tasks[ti]
-				st := p.getState(ctl, nw, cands, suffix, sibling, cache)
-				if seedAssign != nil {
-					st.bestVal = seedVal
-					st.bestAssign = append([]assignChoice(nil), seedAssign...)
-				}
-				if task.channel < 0 {
-					st.dfs(1, 0)
-				} else {
-					st.runRootTask(task)
-				}
-				results[ti] = workerResult{
-					val: st.bestVal, assign: st.bestAssign, task: ti,
-					nodes: st.nodes, cacheHits: st.cacheHits, halted: st.halted,
-				}
-				p.putState(st)
-			}
-		}()
-	}
-	wg.Wait()
-
-	bestVal, bestAssign = seedVal, seedAssign
-	bestTask := len(tasks)
-	for _, r := range results {
-		nodes += r.nodes
-		cacheHits += r.cacheHits
-		halted = halted || r.halted
-		// Deterministic tie-break: among equal values prefer the lowest
-		// task index.
-		if r.assign != nil && (r.val > bestVal || (r.val == bestVal && r.task < bestTask && r.val > seedVal)) {
-			bestVal, bestAssign, bestTask = r.val, r.assign, r.task
-		}
-	}
-	halted = halted || ctl.halt.Load()
-	return bestVal, bestAssign, nodes, cacheHits, halted
 }
 
 // activate commits candidate ci on channel k at level q: per-channel
@@ -570,28 +423,6 @@ func (st *pricerState) deactivate(k, ci int) {
 	if st.probe != nil {
 		st.probe.Pop()
 	}
-}
-
-// runRootTask explores the subtree where candidate 0 takes the given
-// activation, mirroring the root iteration of the serial dfs.
-func (st *pricerState) runRootTask(task assignChoice) {
-	c := &st.cands[0]
-	target := st.ctl.bestVal()
-	if target < 1 {
-		target = 1 - 1e-12
-	}
-	val := c.lam * st.nw.Rates.Rates[task.level]
-	if val+st.suffixBest[1] <= target+1e-15 {
-		return // optimistic bound cannot beat the incumbent/threshold
-	}
-	lk := st.nw.Links[c.link]
-	st.usedNode[lk.TXNode] = c.link
-	st.usedNode[lk.RXNode] = c.link
-	if !st.feasibleWith(task.channel, 0, task.level) {
-		return
-	}
-	st.activate(task.channel, 0, task.level)
-	st.dfs(1, val)
 }
 
 // seedAssignment maps a known feasible schedule (from the greedy
@@ -622,24 +453,18 @@ func seedAssignment(cands []candidate, sched *schedule.Schedule) ([]assignChoice
 // dfs explores candidate i with accumulated value.
 func (st *pricerState) dfs(i int, value float64) {
 	st.nodes++
-	if st.ctl.probes.Load() > st.ctl.budget {
-		st.halted = true
-		st.ctl.halt.Store(true)
-		return
-	}
-	if st.ctl.halt.Load() {
+	if st.halted || st.probes > st.budget {
 		st.halted = true
 		return
 	}
 	// Poll the cancellation channel every few dozen probes: cheap
 	// enough to be invisible, frequent enough that an expired solve
 	// budget stops the search within microseconds.
-	if st.ctl.done != nil && st.probes-st.lastPoll >= 64 {
+	if st.done != nil && st.probes-st.lastPoll >= 64 {
 		st.lastPoll = st.probes
 		select {
-		case <-st.ctl.done:
+		case <-st.done:
 			st.halted = true
-			st.ctl.halt.Store(true)
 			return
 		default:
 		}
@@ -648,7 +473,6 @@ func (st *pricerState) dfs(i int, value float64) {
 		st.bestVal = value
 		st.bestAssign = append([]assignChoice(nil), st.assign...)
 	}
-	st.ctl.offer(value)
 	if i >= len(st.cands) {
 		st.recordLeaf(value)
 		return
@@ -657,7 +481,7 @@ func (st *pricerState) dfs(i int, value float64) {
 	// ≤ 1 have non-negative reduced cost and are useless to the master
 	// problem, so subtrees that cannot exceed 1 need no exploration —
 	// completing the search still proves Φ ≥ 0 (convergence).
-	target := st.ctl.bestVal()
+	target := st.bestVal
 	if target < 1 {
 		target = 1 - 1e-12
 	}
@@ -846,7 +670,6 @@ func channelTaken(siblings []int, assign []assignChoice, k int) bool {
 // byte-identical with and without the cache.
 func (st *pricerState) feasibleWith(k, ci, q int) bool {
 	st.probes++
-	st.ctl.probes.Add(1)
 	// Fast path: the probe solver already holds the committed pattern's
 	// factorization, so the question costs one O(m²) bordered solve and
 	// zero allocations.
@@ -1023,13 +846,13 @@ type GreedyPricer struct {
 	PoolColumns int
 }
 
-var _ Pricer = GreedyPricer{}
+var _ cg.Pricer = GreedyPricer{}
 
 // String implements Pricer.
 func (GreedyPricer) String() string { return "greedy" }
 
 // Price implements Pricer.
-func (g GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceResult, error) {
+func (g GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*cg.PriceResult, error) {
 	L := nw.NumLinks()
 	if err := checkDuals(nw, lambda); err != nil {
 		return nil, err
@@ -1148,9 +971,9 @@ func (g GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*PriceRes
 		return nil, err
 	}
 	if sched == nil {
-		return &PriceResult{Value: 0, Exact: len(items) == 0, RelaxValue: relax}, nil
+		return &cg.PriceResult{Value: 0, Exact: len(items) == 0, RelaxValue: relax}, nil
 	}
-	res := &PriceResult{Schedule: sched, Value: value, Exact: false, RelaxValue: relax}
+	res := &cg.PriceResult{Schedule: sched, Value: value, Exact: false, RelaxValue: relax}
 	if g.PoolColumns > 1 {
 		excluded := make(map[int]bool, len(sched.Assignments))
 		last := sched

@@ -110,12 +110,7 @@ func NewQualitySolver(nw *netmodel.Network, demands []video.Demand, budgetSecond
 			return nil, fmt.Errorf("core: invalid weight %g on link %d", w, l)
 		}
 	}
-	if opts.Pricer == nil {
-		p := NewBranchBoundPricer(0)
-		p.Parallel = opts.PricerWorkers
-		p.PoolLeaves = opts.MultiColumn.Columns()
-		opts.Pricer = p
-	}
+	opts = opts.withDefaultPricer()
 	s := &QualitySolver{
 		nw:      nw,
 		demands: append([]video.Demand(nil), demands...),
@@ -126,7 +121,7 @@ func NewQualitySolver(nw *netmodel.Network, demands []video.Demand, budgetSecond
 	}
 	state := cg.NewState(opts.CacheProbes)
 	state.Seed(schedule.TDMA(nw))
-	s.engine = cg.NewEngine(nw, &p2Model{s: s}, state, opts.engineOptions("core"))
+	s.engine = cg.NewEngine(nw, &p2Model{s: s}, state, opts.engineOptions())
 	return s, nil
 }
 
@@ -325,7 +320,7 @@ func (m *p2Model) Upper(sol *lp.Solution) float64 { return -sol.Objective }
 
 // Bound: quality mode has no Theorem-1 analogue (the bound is a ratio
 // of time bounds, not quality bounds).
-func (m *p2Model) Bound(upper float64, pr *PriceResult) (float64, bool) { return 0, false }
+func (m *p2Model) Bound(upper float64, pr *cg.PriceResult) (float64, bool) { return 0, false }
 
 // ColumnOffset: the nc·L y variables precede the τ columns.
 func (m *p2Model) ColumnOffset() int { return m.s.nw.TrafficClasses() * m.s.nw.NumLinks() }

@@ -246,9 +246,8 @@ func (c *Cell) LastPlan() (plan core.Plan, age int64, ok bool) {
 	return c.lastPlan, age, true
 }
 
-// Host supervises a set of cells. Constructors live in funcopts.go:
-// New composes functional options; NewFromOptions is the deprecated
-// imperative shim.
+// Host supervises a set of cells. New (funcopts.go) composes its
+// functional options.
 type Host struct {
 	opts       Options
 	cells      []*Cell // indexed by cell ID; nil marks an evicted slot
@@ -338,9 +337,7 @@ func (h *Host) admit(spec CellSpec, id int) (*Cell, error) {
 	// same object.
 	inner := spec.Solve.Pricer
 	if inner == nil {
-		p := core.NewBranchBoundPricer(0)
-		p.Parallel = spec.Solve.PricerWorkers
-		inner = p
+		inner = core.NewBranchBoundPricer(0)
 	}
 	c.gate = &hangGate{inner: inner}
 	c.spec.Solve.Pricer = c.gate

@@ -387,8 +387,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec api.CellSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		api.WriteError(w, &api.Error{Code: api.CodeBadRequest, Message: err.Error()})
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	rec, initialDemands, err := s.resolveSpec(spec)
@@ -539,45 +538,17 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
-	s.handleSubmit(w, r, func(raw json.RawMessage) ([][]byte, bool, error) {
-		var demands []api.Demand
-		if err := json.Unmarshal(raw, &demands); err != nil {
-			return nil, false, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
-		}
-		frames := make([][]byte, len(demands))
-		for i, d := range demands {
-			f, err := d.Frame()
-			if err != nil {
-				return nil, false, err
-			}
-			frames[i] = f
-		}
-		return frames, false, nil
-	})
+	submit[api.Demand](s, w, r, false)
 }
 
 func (s *Server) handleCSI(w http.ResponseWriter, r *http.Request) {
-	s.handleSubmit(w, r, func(raw json.RawMessage) ([][]byte, bool, error) {
-		var updates []api.CSI
-		if err := json.Unmarshal(raw, &updates); err != nil {
-			return nil, false, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
-		}
-		frames := make([][]byte, len(updates))
-		for i, u := range updates {
-			f, err := u.Frame()
-			if err != nil {
-				return nil, false, err
-			}
-			frames[i] = f
-		}
-		return frames, true, nil
-	})
+	submit[api.CSI](s, w, r, true)
 }
 
-// handleSubmit is the shared demand/CSI ingest path: decode, encode to
-// binary uplink frames (validating), and queue for the next step.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request,
-	decode func(json.RawMessage) ([][]byte, bool, error)) {
+// submit is the shared demand/CSI ingest path: decode a JSON array,
+// encode each item to a binary uplink frame (validating), and queue
+// the frames for the cell's next step.
+func submit[T interface{ Frame() ([]byte, error) }](s *Server, w http.ResponseWriter, r *http.Request, isCSI bool) {
 	if s.refuseDraining(w) {
 		return
 	}
@@ -585,21 +556,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request,
 	if !ok {
 		return
 	}
-	var raw json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		api.WriteError(w, &api.Error{Code: api.CodeBadRequest, Message: err.Error()})
+	var items []T
+	if !decodeBody(w, r, &items) {
 		return
 	}
-	frames, isCSI, err := decode(raw)
-	if err != nil {
-		api.WriteError(w, err)
-		return
+	frames := make([][]byte, len(items))
+	for i, it := range items {
+		f, err := it.Frame()
+		if err != nil {
+			api.WriteError(w, err)
+			return
+		}
+		frames[i] = f
 	}
 	cs.mu.Lock()
 	cs.queue = append(cs.queue, frames...)
 	cs.queueCSI = cs.queueCSI || (isCSI && len(frames) > 0)
 	cs.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, api.SubmitResponse{Accepted: len(frames)})
+}
+
+// maxBodyBytes caps a request body: far above any real CellSpec or
+// demand/CSI batch, low enough that one request cannot exhaust memory.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v. A malformed or oversized body is answered with a bad-request
+// error, and decodeBody reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		api.WriteError(w, &api.Error{Code: api.CodeBadRequest, Message: err.Error()})
+		return false
+	}
+	return true
 }
 
 // feed drains a cell's queue into the host's ingest path. It runs
