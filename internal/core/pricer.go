@@ -143,11 +143,15 @@ type pricerState struct {
 
 	// probe answers feasibility questions incrementally: the committed
 	// activation pattern mirrors the DFS path (pushed/popped alongside
-	// chActive), so each probe is one O(m²) bordered solve instead of
-	// an O(m³) rebuild. One solver covers both interference models —
-	// the PerChannel masking zeroes cross-channel matrix entries, and
-	// since the committed blocks are always feasible, the full-pattern
-	// verdict equals the probed channel's block verdict.
+	// chActive), so no probe rebuilds the O(m³) system. The solver
+	// memoizes each (link, channel)'s bordered solves for the committed
+	// pattern, so the descending level scan below pays them once and
+	// screens each further level in O(m); only levels the screen cannot
+	// reject run the exact O(m²) bordered solve. One solver covers both
+	// interference models — the PerChannel masking zeroes cross-channel
+	// matrix entries, and since the committed blocks are always
+	// feasible, the full-pattern verdict equals the probed channel's
+	// block verdict.
 	probe *netmodel.ProbeSolver
 
 	// Scratch buffers reused across feasibility probes (assembled-path
@@ -671,8 +675,10 @@ func channelTaken(siblings []int, assign []assignChoice, k int) bool {
 func (st *pricerState) feasibleWith(k, ci, q int) bool {
 	st.probes++
 	// Fast path: the probe solver already holds the committed pattern's
-	// factorization, so the question costs one O(m²) bordered solve and
-	// zero allocations.
+	// factorization and the memoized border of (link, k), so the
+	// question costs an O(m) level screen — plus one O(m²) bordered
+	// solve when the screen cannot reject, or when (link, k) is new to
+	// this pattern — and zero allocations.
 	if st.probe != nil && st.cache == nil {
 		return st.probe.Probe(st.cands[ci].link, k, st.nw.Rates.Gammas[q])
 	}
@@ -892,8 +898,9 @@ func (g GreedyPricer) Price(nw *netmodel.Network, lambda [][]float64) (*cg.Price
 	sort.Slice(items, func(i, j int) bool { return items[i].best > items[j].best })
 
 	// The accepted set grows one link at a time, so the incremental
-	// probe solver answers each candidate placement in O(m²) without
-	// assembling (or allocating) the pattern.
+	// probe solver answers each candidate placement without assembling
+	// (or allocating) the pattern, screening a channel's lower levels
+	// in O(m) once its border is memoized.
 	probe, _ := greedyProbePool.Get().(*netmodel.ProbeSolver)
 	if probe == nil || probe.Cap() < L || probe.Network() != nw {
 		probe = netmodel.NewProbeSolver(nw, L)
