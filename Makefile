@@ -71,7 +71,7 @@ bench-diff:
 	$(GO) test -bench='BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkMILPNode' -benchtime=1x -count=3 -benchmem -run='^$$' . | \
 		$(GO) run ./cmd/benchjson -reduce min -diff BENCH_baseline.json \
 		-gate 20 -match 'BenchmarkAblation|BenchmarkFig1|BenchmarkLPSparse|BenchmarkMILPNode' \
-		-work 'sched_s,iters,pivots/op,nodes/op,probes/op,masters/op'
+		-work 'sched_s,iters,pivots/op,factorizations/op,nodes/op,probes/op,masters/op'
 
 # Single-iteration smoke over every package (CI).
 bench-smoke:
@@ -84,7 +84,9 @@ bench-full:
 # Fuzz passes over every wire decoder — the control-plane frames, the
 # fault-event wire/spec decoders, the checkpoint snapshot decoder —
 # plus the sparse LU kernel (random pivot sequences checked against a
-# dense shadow and a fresh refactorization). FUZZTIME scales all
+# dense shadow and a fresh refactorization) and the incremental master
+# solve (column-generation-shaped step sequences on one Solver checked
+# bit for bit against a fresh Solver). FUZZTIME scales all
 # targets; fuzz-short is the CI setting.
 FUZZTIME ?= 20s
 
@@ -95,6 +97,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFailureDecoders -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -fuzz FuzzSparseLU -fuzztime $(FUZZTIME) ./internal/lp
+	$(GO) test -fuzz FuzzIncrementalSolve -fuzztime $(FUZZTIME) ./internal/lp
 
 fuzz-short:
 	$(MAKE) fuzz FUZZTIME=10s

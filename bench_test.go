@@ -290,12 +290,16 @@ func benchMasterLP(L, n int) *lp.Problem {
 }
 
 // BenchmarkLPSparse measures the LP core alone on a master-shaped
-// instance: a cold solve and a warm re-solve after an
-// objective-preserving RHS perturbation on the default sparse revised
-// simplex, plus the same cold solve on the legacy dense tableau
-// (Options.Dense) as the reference the sparse path replaced.
+// instance, reporting pivots and basis factorizations per solve next
+// to ns/op. cold re-solves the instance from the slack basis; warm
+// times one column-generation round: outside the timer, a Solver
+// solves a clone of the seeded master and a batch of schedule-like
+// columns (entries drawn from each row's existing rates) is appended,
+// then the timed solve warm-starts from the seed basis and prices the
+// batch in. dense is the cold solve on the legacy dense tableau
+// (Options.Dense), the reference the sparse path replaced.
 func BenchmarkLPSparse(b *testing.B) {
-	const L, n = 30, 180
+	const L, n, batch = 30, 180, 8
 	for _, bench := range []struct {
 		name  string
 		dense bool
@@ -305,30 +309,65 @@ func BenchmarkLPSparse(b *testing.B) {
 			p := benchMasterLP(L, n)
 			s := lp.NewSolver(p)
 			opt := lp.Options{Dense: bench.dense}
+			var seed []lp.BasisVar
 			if bench.warm {
 				sol, err := s.Solve(opt)
 				if err != nil || sol.Status != lp.StatusOptimal {
 					b.Fatalf("warm seed solve: %v status %v", err, sol.Status)
 				}
-				opt.WarmBasis = sol.Basis
+				seed = sol.Basis
 			}
+			rng := rand.New(rand.NewSource(5))
 			b.ReportAllocs()
-			var pivots float64
+			b.ResetTimer()
+			var pivots, factorizations float64
 			for i := 0; i < b.N; i++ {
+				solver := s
 				if bench.warm {
-					// Nudge the RHS so the warm solve has real repair
-					// work but the basis stays reusable.
-					p.B[i%(2*L)] *= 1.0001
+					b.StopTimer()
+					q := p.Clone()
+					solver = lp.NewSolver(q)
+					if _, err := solver.Solve(lp.Options{WarmBasis: seed}); err != nil {
+						b.Fatal(err)
+					}
+					for k := 0; k < batch; k++ {
+						if _, err := q.AddColumn(1, benchScheduleColumn(rng, q)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					opt.WarmBasis = seed
+					b.StartTimer()
 				}
-				sol, err := s.Solve(opt)
+				sol, err := solver.Solve(opt)
 				if err != nil || sol.Status != lp.StatusOptimal {
 					b.Fatalf("solve %d: %v status %v", i, err, sol.Status)
 				}
 				pivots += float64(sol.Iterations)
+				factorizations += float64(sol.Refactorizations)
 			}
 			b.ReportMetric(pivots/float64(b.N), "pivots/op")
+			b.ReportMetric(factorizations/float64(b.N), "factorizations/op")
 		})
 	}
+}
+
+// benchScheduleColumn draws a master column the way pricing produces
+// one: about a third of the rows served, each at one of the rates
+// already in that row (so no row's largest coefficient grows).
+func benchScheduleColumn(rng *rand.Rand, p *lp.Problem) []float64 {
+	col := make([]float64, p.NumRows())
+	for i, row := range p.A {
+		if rng.Float64() >= 0.35 {
+			continue
+		}
+		for tries := 0; tries < 8; tries++ {
+			if v := row[rng.Intn(len(row))]; v != 0 {
+				col[i] = v
+				break
+			}
+		}
+	}
+	return col
 }
 
 // BenchmarkMILPNode measures the branch-and-bound node relaxation

@@ -23,7 +23,8 @@
 // tableau implementation is retained behind Options.Dense for
 // differential testing. Columns can be appended between solves
 // (Problem.AddColumn), which is exactly the column-generation access
-// pattern.
+// pattern: a reusable Solver then extends its standardized matrix and
+// keeps the previous basis factorization instead of rebuilding both.
 package lp
 
 import (
@@ -135,7 +136,8 @@ func (p *Problem) AddRow(coef []float64, rel Relation, b float64) {
 // existing row). The new variable gets the default bounds [0, +Inf).
 // It returns the new variable's index. This is the column-generation
 // entry point: the master problem grows by one schedule column per
-// iteration.
+// iteration. After a Solver has solved the problem, AddColumn is the
+// only supported way to change A (see Solver).
 func (p *Problem) AddColumn(cost float64, col []float64) (int, error) {
 	if len(col) != len(p.A) {
 		return 0, fmt.Errorf("lp: column has %d entries, want %d rows", len(col), len(p.A))
@@ -310,8 +312,10 @@ type Solution struct {
 	Dual       []float64 // simplex multipliers, one per row (valid when optimal)
 	Iterations int       // total simplex pivots across both phases
 	// Refactorizations counts the basis-inverse rebuilds performed during
-	// the solve (periodic numerical-hygiene refreshes plus the final
-	// pre-extraction refresh); exposed for observability.
+	// the solve (the warm basis's factorization, periodic numerical-
+	// hygiene refreshes, and the final pre-extraction refresh); exposed
+	// for observability. A warm basis whose factors a reused Solver
+	// already holds is not refactorized, and not counted.
 	Refactorizations int
 	// Basis is the optimal basis (one entry per row), reusable as
 	// Options.WarmBasis on a later solve of the same problem — possibly

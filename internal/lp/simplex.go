@@ -10,12 +10,24 @@ func SolveWith(p *Problem, opt Options) (*Solution, error) {
 	return s.Solve(opt)
 }
 
-// Solver is a reusable simplex workspace bound to one Problem. Solve
-// re-reads the problem's current coefficients each call, so callers
-// may mutate C, B, A entries, or bounds (and even append rows or
-// columns — the workspace regrows) between solves; at steady state a
-// solve allocates only its Solution. A Solver is not safe for
-// concurrent use.
+// Solver is a reusable simplex workspace bound to one Problem. Between
+// solves callers may change C, B, bounds, and the row set (AddRow),
+// and append columns with AddColumn; the workspace regrows. After a
+// solve, A changes only through AddColumn (replacing p.A wholesale
+// also works): the existing columns' coefficients are not re-read
+// when the problem only gained columns. At steady state a solve
+// allocates only its Solution. A Solver is not safe for concurrent
+// use.
+//
+// When the problem differs from the last sparse solve's only by
+// appended columns that leave every row's equilibration scale alone,
+// Solve extends the standardized workspace in place instead of
+// rebuilding it, and validates only the new columns; when the warm
+// basis is the previous solve's final basis, it also reuses that
+// solve's closing LU factorization. Both shortcuts reproduce the
+// full rebuild's state exactly, so every result is bit-identical to a
+// fresh Solver's except Refactorizations, which counts only the
+// factorizations that ran (DESIGN.md §14).
 type Solver struct {
 	p *Problem
 	t *tableau // legacy dense workspace, allocated on first Dense solve
@@ -28,8 +40,11 @@ func NewSolver(p *Problem) *Solver { return &Solver{p: p} }
 // Solve optimizes the bound problem's current state.
 func (s *Solver) Solve(opt Options) (*Solution, error) {
 	p := s.p
-	if err := p.Validate(); err != nil {
-		return nil, err
+	appended := !opt.Dense && s.s != nil && s.s.appendOnly(p)
+	if !appended {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	tol := opt.Tol
 	if tol <= 0 {
@@ -89,5 +104,5 @@ func (s *Solver) Solve(opt Options) (*Solution, error) {
 	if s.s == nil {
 		s.s = &spx{}
 	}
-	return solveSparse(p, s.s, opt, tol, maxIter)
+	return solveSparse(p, s.s, opt, tol, maxIter, appended)
 }

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file is the default solve path: a bounded-variable revised
 // simplex over a compressed-sparse-column matrix, with the basis kept
@@ -88,6 +91,23 @@ type spx struct {
 
 	warmCand []int
 	warmSeen []bool
+
+	// luFresh reports that lu factors exactly the current basis with
+	// an empty eta file: set by a successful factorizeBasis, cleared by
+	// every pivot and by fill (which rewrites the columns under it).
+	luFresh bool
+	// boxed reports that some structural column has a nonzero lower or
+	// a finite upper bound; without one every nonbasic value is 0.
+	boxed bool
+
+	// What fill standardized, kept so appendOnly can tell a problem
+	// that only gained columns from any other change. costs[:nStruct],
+	// lower[:nStruct] and upper[:nStruct] double as the C and bound
+	// snapshots.
+	srcB    []float64
+	srcRel  []Relation
+	srcRows *[]float64 // &p.A[0]: the identity of the row array
+	rowMax  []float64  // per row: max |a_ij|, the equilibration divisor
 }
 
 // nbVal returns nonbasic column j's current value.
@@ -105,8 +125,9 @@ func (s *spx) phase2Costs() []float64 { return s.costs }
 
 // fill (re)standardizes the problem: row equilibration, sign flips to
 // make the initial point feasible for phase 1, CSC assembly, and the
-// slack/artificial starting basis with every structural at its lower
-// bound.
+// auxiliary column layout. The starting basis is left to tryWarmStart,
+// which installs either the caller's basis or the slack/artificial
+// cold start (restoreColdBasis).
 func (s *spx) fill(p *Problem, tol float64) {
 	m := p.NumRows()
 	nStruct := p.NumVars()
@@ -114,12 +135,17 @@ func (s *spx) fill(p *Problem, tol float64) {
 	s.pivotsSinceLU = 0
 	s.refactorizations = 0
 	s.etaUpdates = 0
+	s.luFresh = false
 
 	s.rowFlipped = growB(s.rowFlipped, m)
 	s.bRaw = growF(s.bRaw, m)
 	s.rowScale = growF(s.rowScale, m)
+	s.rowMax = growF(s.rowMax, m)
 	s.slackOf = growI(s.slackOf, m)
 	s.artOf = growI(s.artOf, m)
+	s.srcB = append(s.srcB[:0], p.B...)
+	s.srcRel = append(s.srcRel[:0], p.Rel...)
+	s.srcRows = &p.A[0]
 
 	// Row pass: equilibration scale (1/max |structural coefficient|,
 	// exactly the dense rule) and the flip decision. A row is flipped
@@ -145,6 +171,7 @@ func (s *spx) fill(p *Problem, tol float64) {
 			scale = 1 / maxAbs
 		}
 		s.rowScale[i] = scale
+		s.rowMax[i] = maxAbs
 
 		rawEff := p.B[i]
 		if p.Lower != nil {
@@ -174,9 +201,9 @@ func (s *spx) fill(p *Problem, tol float64) {
 	s.m, s.n, s.nStruct, s.nArt = m, n, nStruct, nArt
 
 	// CSC assembly of the structural columns.
-	s.colPtr = growI(s.colPtr, nStruct+1)
-	s.rowIdx = growI(s.rowIdx, nnz)
-	s.colVal = growF(s.colVal, nnz)
+	s.colPtr = resize(s.colPtr, nStruct+1)
+	s.rowIdx = resize(s.rowIdx, nnz)
+	s.colVal = resize(s.colVal, nnz)
 	at := 0
 	for j := 0; j < nStruct; j++ {
 		s.colPtr[j] = at
@@ -195,8 +222,8 @@ func (s *spx) fill(p *Problem, tol float64) {
 	}
 	s.colPtr[nStruct] = at
 
-	// Auxiliary columns and the starting basis, in the dense layout:
-	// slack/surplus columns first in row order, then artificials.
+	// Auxiliary columns in the dense layout: slack/surplus columns
+	// first in row order, then artificials.
 	s.auxRow = growI(s.auxRow, nSlack+nArt)
 	s.auxVal = growF(s.auxVal, nSlack+nArt)
 	s.basis = growI(s.basis, m)
@@ -210,7 +237,6 @@ func (s *spx) fill(p *Problem, tol float64) {
 			s.auxRow[slackAt-nStruct] = i
 			s.auxVal[slackAt-nStruct] = 1
 			s.slackOf[i] = slackAt
-			s.basis[i] = slackAt
 			slackAt++
 		case GE:
 			s.auxRow[slackAt-nStruct] = i
@@ -220,34 +246,36 @@ func (s *spx) fill(p *Problem, tol float64) {
 			s.auxRow[artAt-nStruct] = i
 			s.auxVal[artAt-nStruct] = 1
 			s.artOf[i] = artAt
-			s.basis[i] = artAt
 			artAt++
 		case EQ:
 			s.auxRow[artAt-nStruct] = i
 			s.auxVal[artAt-nStruct] = 1
 			s.artOf[i] = artAt
-			s.basis[i] = artAt
 			artAt++
 		}
 	}
 
-	// Bounds, costs, statuses.
-	s.lower = growF(s.lower, n)
-	s.upper = growF(s.upper, n)
+	// Bounds and costs; statuses are set with the starting basis.
+	s.lower = resize(s.lower, n)
+	s.upper = resize(s.upper, n)
+	s.boxed = false
 	for j := 0; j < nStruct; j++ {
 		s.lower[j] = p.lowerOf(j)
 		s.upper[j] = p.upperOf(j)
+		if s.lower[j] != 0 || !math.IsInf(s.upper[j], 1) {
+			s.boxed = true
+		}
 	}
 	for j := nStruct; j < n; j++ {
 		s.lower[j] = 0
 		s.upper[j] = math.Inf(1)
 	}
-	s.costs = growF(s.costs, n)
+	s.costs = resize(s.costs, n)
 	for j := range s.costs {
 		s.costs[j] = 0
 	}
 	copy(s.costs, p.C)
-	s.c1 = growF(s.c1, n)
+	s.c1 = resize(s.c1, n)
 	for j := range s.c1 {
 		if j >= n-nArt {
 			s.c1[j] = 1
@@ -255,18 +283,12 @@ func (s *spx) fill(p *Problem, tol float64) {
 			s.c1[j] = 0
 		}
 	}
-	s.vstat = growVstat(s.vstat, n)
-	s.slotOf = growI(s.slotOf, n)
-	for j := 0; j < n; j++ {
-		s.vstat[j] = nbLower
-		s.slotOf[j] = -1
-	}
-	for r, j := range s.basis {
-		s.vstat[j] = vBasic
-		s.slotOf[j] = r
-	}
-	s.barred = growB(s.barred, n)
-	s.noisy = growB(s.noisy, n)
+	s.vstat = resize(s.vstat, n)
+	s.slotOf = resize(s.slotOf, n)
+	s.barred = resize(s.barred, n)
+	clear(s.barred)
+	s.noisy = resize(s.noisy, n)
+	clear(s.noisy)
 	s.noisyList = s.noisyList[:0]
 	s.xB = growF(s.xB, m)
 
@@ -275,24 +297,142 @@ func (s *spx) fill(p *Problem, tol float64) {
 	s.uBuf2 = growF(s.uBuf2, m)
 	s.rhoBuf = growF(s.rhoBuf, m)
 	s.beBuf = growF(s.beBuf, m)
-
-	// Initial factorization (unit columns — the peel consumes
-	// everything) and basic values. Not counted as a refactorization,
-	// matching the dense path's direct B⁻¹ = I start.
-	s.factorizeBasis()
-	s.computeXB()
 }
 
-// growVstat resizes the status slice, zeroing (nbLower) the result.
-func growVstat(s []vstatus, n int) []vstatus {
-	if cap(s) < n {
-		return make([]vstatus, n)
+// appendOnly reports whether p differs from the problem fill last
+// standardized only by columns appended through AddColumn, and those
+// columns leave every row's equilibration scale and flip unchanged:
+// same rows, senses, right-hand sides, costs and bounds on the old
+// columns, finite new data, a zero lower bound on each new column
+// (nonzero ones move the flip rule's effective rhs), and no new
+// coefficient above its row's max |a|. Such a problem passes Validate,
+// as the last standardized one did, so Solve skips the full rescan. The
+// old columns' A entries are not re-read: the Solver contract is that
+// after a solve A changes only through AddColumn, and replacing the
+// row array wholesale (a rebuild) is caught by srcRows.
+func (s *spx) appendOnly(p *Problem) bool {
+	m, n0, n := s.m, s.nStruct, len(p.C)
+	if m == 0 || len(p.A) != m || len(p.B) != m || len(p.Rel) != m || n < n0 || &p.A[0] != s.srcRows {
+		return false
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nbLower
+	if (p.Lower != nil && len(p.Lower) != n) || (p.Upper != nil && len(p.Upper) != n) {
+		return false
 	}
-	return s
+	for i := 0; i < m; i++ {
+		if len(p.A[i]) != n || p.B[i] != s.srcB[i] || p.Rel[i] != s.srcRel[i] {
+			return false
+		}
+	}
+	for j := 0; j < n0; j++ {
+		if p.C[j] != s.costs[j] || p.lowerOf(j) != s.lower[j] || p.upperOf(j) != s.upper[j] {
+			return false
+		}
+	}
+	for j := n0; j < n; j++ {
+		if c := p.C[j]; math.IsNaN(c) || math.IsInf(c, 0) || p.lowerOf(j) != 0 {
+			return false
+		}
+		if u := p.upperOf(j); math.IsNaN(u) || math.IsInf(u, -1) {
+			return false
+		}
+		for i := 0; i < m; i++ {
+			if a := math.Abs(p.A[i][j]); math.IsNaN(a) || a > s.rowMax[i] {
+				return false // NaN, ±Inf, or a raised row scale
+			}
+		}
+	}
+	return true
+}
+
+// extend is fill for an appendOnly change. The new columns join the
+// CSC under the unchanged row scales and flips, at O(m) each, and the
+// implicit auxiliary columns move up by the number of new columns in
+// every column-indexed array, so the standardized state equals what
+// fill would build. The previous solve's basis, LU and eta file stay
+// live: when the caller's warm basis is that basis, tryWarmStart
+// reuses the factors instead of recomputing them.
+func (s *spx) extend(p *Problem, tol float64) {
+	n0, n1 := s.nStruct, p.NumVars()
+	d := n1 - n0
+	s.tol = tol
+	s.pivotsSinceLU = 0
+	s.refactorizations = 0
+	s.etaUpdates = 0
+
+	at := s.colPtr[n0]
+	s.colPtr = resize(s.colPtr, n1+1)
+	s.rowIdx = s.rowIdx[:at]
+	s.colVal = s.colVal[:at]
+	for j := n0; j < n1; j++ {
+		s.colPtr[j] = at
+		for i := 0; i < s.m; i++ {
+			v := p.A[i][j]
+			if v == 0 {
+				continue
+			}
+			if s.rowFlipped[i] {
+				v = -v
+			}
+			s.rowIdx = append(s.rowIdx, i)
+			s.colVal = append(s.colVal, v*s.rowScale[i])
+			at++
+		}
+	}
+	s.colPtr[n1] = at
+
+	s.lower = openCols(s.lower, n0, d)
+	s.upper = openCols(s.upper, n0, d)
+	s.costs = openCols(s.costs, n0, d)
+	s.c1 = openCols(s.c1, n0, d)
+	s.vstat = openCols(s.vstat, n0, d)
+	s.slotOf = openCols(s.slotOf, n0, d)
+	for j := n0; j < n1; j++ {
+		s.lower[j] = 0
+		s.upper[j] = p.upperOf(j)
+		if !math.IsInf(s.upper[j], 1) {
+			s.boxed = true
+		}
+		s.costs[j] = p.C[j]
+		s.c1[j] = 0
+		s.vstat[j] = nbLower
+		s.slotOf[j] = -1
+	}
+	s.barred = resize(s.barred, s.n+d)
+	clear(s.barred)
+	s.noisy = resize(s.noisy, s.n+d)
+	clear(s.noisy)
+	for r, j := range s.basis {
+		if j >= n0 {
+			s.basis[r] = j + d
+		}
+	}
+	for i := 0; i < s.m; i++ {
+		if s.slackOf[i] >= 0 {
+			s.slackOf[i] += d
+		}
+		if s.artOf[i] >= 0 {
+			s.artOf[i] += d
+		}
+	}
+	s.n += d
+	s.nStruct = n1
+}
+
+// resize returns v with n entries, keeping its backing array when it
+// is large enough and otherwise growing it with append's geometric
+// headroom, so a master that gains a few columns per round does not
+// reallocate every round. The entries are stale; callers overwrite
+// them.
+func resize[T any](v []T, n int) []T { return slices.Grow(v[:0], n)[:n] }
+
+// openCols widens a column-indexed slice by d entries at index at,
+// moving the tail (the auxiliary columns) up; the d opened entries are
+// stale. Growth is geometric, as in resize.
+func openCols[T any](v []T, at, d int) []T {
+	n := len(v)
+	v = slices.Grow(v, d)[:n+d]
+	copy(v[at+d:], v[at:n])
+	return v
 }
 
 // effectiveRel is the row's sense after the flip normalization.
@@ -345,11 +485,13 @@ func (s *spx) factorizeBasis() bool {
 	s.basColPtr[m] = at
 
 	if !s.luSpare.factorize(m, s.basColPtr, s.basRowIdx, s.basVal) {
+		s.luFresh = false
 		return false
 	}
 	s.lu, s.luSpare = s.luSpare, s.lu
 	s.etas.reset()
 	s.pivotsSinceLU = 0
+	s.luFresh = true
 	return true
 }
 
@@ -467,11 +609,15 @@ func (s *spx) colDot(y []float64, j int) float64 {
 }
 
 // objective is cᵀx at the current point: basic values plus nonbasic
-// columns at their bounds.
+// columns at their bounds. Without boxed columns every nonbasic value
+// is 0 and the nonbasic scan would add nothing.
 func (s *spx) objective(c []float64) float64 {
 	var v float64
 	for r, j := range s.basis {
 		v += c[j] * s.xB[r]
+	}
+	if !s.boxed {
+		return v
 	}
 	for j := 0; j < s.n; j++ {
 		if s.vstat[j] == vBasic || c[j] == 0 {
@@ -721,6 +867,7 @@ func (s *spx) pivot(enter int, esgn float64, leaveRow int, leaveToUpper bool, u 
 	s.slotOf[enter] = leaveRow
 
 	s.etas.push(leaveRow, u)
+	s.luFresh = false
 	s.etaUpdates++
 	s.pivotsSinceLU++
 	if s.pivotsSinceLU >= 64 {
@@ -848,6 +995,7 @@ func (s *spx) pivotDual(enter int, esgn float64, leaveRow int, leaveBelow bool, 
 	s.slotOf[enter] = leaveRow
 
 	s.etas.push(leaveRow, u)
+	s.luFresh = false
 	s.etaUpdates++
 	s.pivotsSinceLU++
 	if s.pivotsSinceLU >= 64 {
@@ -891,64 +1039,32 @@ func (s *spx) driveOutArtificials() {
 	}
 }
 
-// tryWarmStart installs a caller-provided basis and classifies it,
-// mirroring the dense rules: the basis must decode, not repeat
-// columns, and factorize; a basis whose basic values respect their
-// bounds (±1e-7) goes straight to phase 2 even if some reduced cost is
-// negative, a bound-respecting dual-feasible one goes to the dual
-// simplex, anything else restores the cold start. Nonbasic variables
-// take the bound side their reduced cost prefers (at upper iff
-// rc < −1e-7 with a finite upper bound).
+// tryWarmStart installs the starting basis: a caller-provided basis
+// when usable, otherwise the cold start (restoreColdBasis). It mirrors
+// the dense rules: the basis must decode, not repeat columns, and
+// factorize; a basis whose basic values respect their bounds (±1e-7)
+// goes straight to phase 2 even if some reduced cost is negative, a
+// bound-respecting dual-feasible one goes to the dual simplex,
+// anything else restores the cold start. Nonbasic variables take the
+// bound side their reduced cost prefers (at upper iff rc < −1e-7 with
+// a finite upper bound). A candidate equal slot for slot to a basis
+// the live LU factors exactly (luFresh: after extend, the previous
+// solve's closing refactorization) skips the factorization, which
+// would recompute the same factors from the same columns.
 func (s *spx) tryWarmStart(warm []BasisVar) warmOutcome {
-	if len(warm) != s.m {
-		return warmUnusable
-	}
-	s.warmCand = growI(s.warmCand, s.m)
-	cand := s.warmCand
-	s.warmSeen = growB(s.warmSeen, s.n)
-	seen := s.warmSeen
-	for r, bv := range warm {
-		var j int
-		switch bv.Kind {
-		case BasisStructural:
-			if bv.Index < 0 || bv.Index >= s.nStruct {
-				return warmUnusable
-			}
-			j = bv.Index
-		case BasisAux:
-			if bv.Index < 0 || bv.Index >= s.m {
-				return warmUnusable
-			}
-			j = s.slackOf[bv.Index]
-			if j < 0 {
-				j = s.artOf[bv.Index]
-			}
-			if j < 0 {
-				return warmUnusable
-			}
-		default:
-			return warmUnusable
-		}
-		if seen[j] {
-			return warmUnusable
-		}
-		seen[j] = true
-		cand[r] = j
-	}
-
-	copy(s.basis, cand)
-	for j := 0; j < s.n; j++ {
-		s.vstat[j] = nbLower
-		s.slotOf[j] = -1
-	}
-	for r, j := range s.basis {
-		s.vstat[j] = vBasic
-		s.slotOf[j] = r
-	}
-	s.refactorizations++ // the candidate factorization, as in dense
-	if !s.factorizeBasis() {
+	if !s.decodeWarm(warm) {
 		s.restoreColdBasis()
 		return warmUnusable
+	}
+	reuse := s.luFresh && slices.Equal(s.warmCand, s.basis)
+	copy(s.basis, s.warmCand)
+	s.resetStatuses()
+	if !reuse {
+		s.refactorizations++ // the candidate factorization, as in dense
+		if !s.factorizeBasis() {
+			s.restoreColdBasis()
+			return warmUnusable
+		}
 	}
 
 	// Nonbasic sides and dual feasibility from the reduced costs
@@ -990,17 +1106,50 @@ func (s *spx) tryWarmStart(warm []BasisVar) warmOutcome {
 	return warmUnusable
 }
 
-// restoreColdBasis rebuilds the slack/artificial starting state after
-// a rejected warm basis. The cold basis is all unit columns, so the
-// factorization cannot fail.
-func (s *spx) restoreColdBasis() {
-	for i := 0; i < s.m; i++ {
-		if s.slackOf[i] >= 0 && s.auxVal[s.slackOf[i]-s.nStruct] > 0 {
-			s.basis[i] = s.slackOf[i] // LE row: its slack
-		} else {
-			s.basis[i] = s.artOf[i] // GE/EQ row: its artificial
-		}
+// decodeWarm maps a caller-provided basis onto workspace columns in
+// warmCand, reporting false when it has the wrong length, an index out
+// of range, an EQ row's missing auxiliary, or a repeated column.
+func (s *spx) decodeWarm(warm []BasisVar) bool {
+	if len(warm) != s.m {
+		return false
 	}
+	s.warmCand = growI(s.warmCand, s.m)
+	s.warmSeen = resize(s.warmSeen, s.n)
+	clear(s.warmSeen)
+	for r, bv := range warm {
+		var j int
+		switch bv.Kind {
+		case BasisStructural:
+			if bv.Index < 0 || bv.Index >= s.nStruct {
+				return false
+			}
+			j = bv.Index
+		case BasisAux:
+			if bv.Index < 0 || bv.Index >= s.m {
+				return false
+			}
+			j = s.slackOf[bv.Index]
+			if j < 0 {
+				j = s.artOf[bv.Index]
+			}
+			if j < 0 {
+				return false
+			}
+		default:
+			return false
+		}
+		if s.warmSeen[j] {
+			return false
+		}
+		s.warmSeen[j] = true
+		s.warmCand[r] = j
+	}
+	return true
+}
+
+// resetStatuses marks the basis columns basic and every other column
+// nonbasic at its lower bound.
+func (s *spx) resetStatuses() {
 	for j := 0; j < s.n; j++ {
 		s.vstat[j] = nbLower
 		s.slotOf[j] = -1
@@ -1009,6 +1158,22 @@ func (s *spx) restoreColdBasis() {
 		s.vstat[j] = vBasic
 		s.slotOf[j] = r
 	}
+}
+
+// restoreColdBasis installs the slack/artificial starting state with
+// every structural at its lower bound: the start of a cold solve, and
+// the fallback after a rejected warm basis. The cold basis is all unit
+// columns, so the factorization cannot fail; like the dense path's
+// direct B⁻¹ = I start it is not counted as a refactorization.
+func (s *spx) restoreColdBasis() {
+	for i := 0; i < s.m; i++ {
+		if s.slackOf[i] >= 0 && s.auxVal[s.slackOf[i]-s.nStruct] > 0 {
+			s.basis[i] = s.slackOf[i] // LE row: its slack
+		} else {
+			s.basis[i] = s.artOf[i] // GE/EQ row: its artificial
+		}
+	}
+	s.resetStatuses()
 	s.factorizeBasis()
 	s.computeXB()
 }
@@ -1028,9 +1193,15 @@ func (s *spx) encodeBasis() []BasisVar {
 
 // solveSparse runs the two-phase sparse simplex in the given
 // workspace. The caller has already validated the problem, resolved
-// tol/maxIter, and handled crossed bounds and the zero-row case.
-func solveSparse(p *Problem, s *spx, opt Options, tol float64, maxIter int) (*Solution, error) {
-	s.fill(p, tol)
+// tol/maxIter, and handled crossed bounds and the zero-row case;
+// appended reports that appendOnly accepted the problem, so the
+// workspace is extended rather than rebuilt.
+func solveSparse(p *Problem, s *spx, opt Options, tol float64, maxIter int, appended bool) (*Solution, error) {
+	if appended {
+		s.extend(p, tol)
+	} else {
+		s.fill(p, tol)
+	}
 
 	iters1 := 0
 	warmUsed := false

@@ -8,6 +8,7 @@
 package schedule
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -69,32 +70,49 @@ func (s *Schedule) Clone() *Schedule {
 // with duplicate links normalize deterministically).
 func (s *Schedule) Normalize() {
 	sort.Slice(s.Assignments, func(i, j int) bool {
-		a, b := s.Assignments[i], s.Assignments[j]
-		if a.Link != b.Link {
-			return a.Link < b.Link
-		}
-		if a.Channel != b.Channel {
-			return a.Channel < b.Channel
-		}
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		return a.Layer < b.Layer
+		return keyLess(s.Assignments[i], s.Assignments[j])
 	})
+}
+
+// keyLess is the Normalize order: link, then channel, level, layer.
+func keyLess(a, b Assignment) bool {
+	if a.Link != b.Link {
+		return a.Link < b.Link
+	}
+	if a.Channel != b.Channel {
+		return a.Channel < b.Channel
+	}
+	if a.Level != b.Level {
+		return a.Level < b.Level
+	}
+	return a.Layer < b.Layer
 }
 
 // Key returns a canonical identity string covering the discrete part
 // of the schedule (links, channels, levels, layers). Powers are
 // excluded: two schedules with the same discrete choices produce the
-// same rate vectors and are interchangeable columns.
+// same rate vectors and are interchangeable columns. The key lists the
+// assignments in Normalize order, each as three zigzag varints (link,
+// channel, level) and a layer byte; varints are self-delimiting, so
+// the encoding is injective for any ints. Schedules are a few dozen
+// assignments at most, so an insertion sort on a stack copy does.
 func (s *Schedule) Key() string {
-	c := s.Clone()
-	c.Normalize()
-	var b strings.Builder
-	for _, a := range c.Assignments {
-		fmt.Fprintf(&b, "%d:%d:%d:%d;", a.Link, a.Channel, a.Level, a.Layer)
+	var stack [32]Assignment
+	as := append(stack[:0], s.Assignments...)
+	for i := 1; i < len(as); i++ {
+		for j := i; j > 0 && keyLess(as[j], as[j-1]); j-- {
+			as[j], as[j-1] = as[j-1], as[j]
+		}
 	}
-	return b.String()
+	var buf [256]byte
+	b := buf[:0]
+	for _, a := range as {
+		b = binary.AppendVarint(b, int64(a.Link))
+		b = binary.AppendVarint(b, int64(a.Channel))
+		b = binary.AppendVarint(b, int64(a.Level))
+		b = append(b, byte(a.Layer))
+	}
+	return string(b)
 }
 
 // String renders the schedule compactly.

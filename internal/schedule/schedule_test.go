@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -377,5 +378,74 @@ func TestPoolCompactKeepAll(t *testing.T) {
 	}
 	if p.Len() != 3 {
 		t.Errorf("Len = %d, want 3", p.Len())
+	}
+}
+
+// refKey is the textual canonical form: the sorted (link, channel,
+// level, layer) tuples, rendered with separators. Key must induce the
+// same equivalence relation.
+func refKey(s *Schedule) string {
+	c := s.Clone()
+	c.Normalize()
+	var b strings.Builder
+	for _, a := range c.Assignments {
+		fmt.Fprintf(&b, "%d:%d:%d:%d;", a.Link, a.Channel, a.Level, a.Layer)
+	}
+	return b.String()
+}
+
+func TestKeyInjective(t *testing.T) {
+	// Values straddling decimal digit counts and varint byte
+	// boundaries (zigzag: 63|64, 8191|8192), plus negatives, so that
+	// any concatenation ambiguity would show up as a collision.
+	vals := []int{0, 1, 2, 11, 12, 21, 63, 64, 112, 121, 8191, 8192, -1, -64, -65}
+	rng := rand.New(rand.NewSource(7))
+	draw := func() *Schedule {
+		s := &Schedule{}
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			s.Assignments = append(s.Assignments, Assignment{
+				Link:    vals[rng.Intn(len(vals))],
+				Channel: vals[rng.Intn(len(vals))],
+				Level:   vals[rng.Intn(len(vals))],
+				Layer:   Layer(rng.Intn(3)),
+				Power:   rng.Float64(),
+			})
+		}
+		return s
+	}
+	seen := map[string]string{} // Key → refKey
+	for it := 0; it < 20000; it++ {
+		s := draw()
+		k, ref := s.Key(), refKey(s)
+		if prev, ok := seen[k]; ok && prev != ref {
+			t.Fatalf("Key collision: %q and %q share key %x", prev, ref, k)
+		}
+		seen[k] = ref
+
+		// Permuting the assignments and changing powers keeps the key.
+		p := s.Clone()
+		rng.Shuffle(len(p.Assignments), func(i, j int) {
+			p.Assignments[i], p.Assignments[j] = p.Assignments[j], p.Assignments[i]
+		})
+		for i := range p.Assignments {
+			p.Assignments[i].Power = rng.Float64()
+		}
+		if p.Key() != k {
+			t.Fatalf("Key not invariant under permutation/power: %v vs %v", s, p)
+		}
+	}
+
+	// Digit-shift pairs a separator-free decimal key would merge.
+	pairs := [][2]Assignment{
+		{{Link: 1, Channel: 12, Level: 3}, {Link: 11, Channel: 2, Level: 3}},
+		{{Link: 1, Channel: 2, Level: 34}, {Link: 1, Channel: 23, Level: 4}},
+		{{Link: 63, Channel: 0, Level: 0}, {Link: 64, Channel: 0, Level: 0}},
+	}
+	for _, pr := range pairs {
+		a := &Schedule{Assignments: []Assignment{pr[0]}}
+		b := &Schedule{Assignments: []Assignment{pr[1]}}
+		if a.Key() == b.Key() {
+			t.Errorf("distinct schedules %v and %v share a key", a, b)
+		}
 	}
 }
