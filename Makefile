@@ -84,10 +84,12 @@ bench-full:
 # Fuzz passes over every wire decoder — the control-plane frames, the
 # fault-event wire/spec decoders, the checkpoint snapshot decoder —
 # plus the sparse LU kernel (random pivot sequences checked against a
-# dense shadow and a fresh refactorization) and the incremental master
+# dense shadow and a fresh refactorization), the incremental master
 # solve (column-generation-shaped step sequences on one Solver checked
-# bit for bit against a fresh Solver). FUZZTIME scales all
-# targets; fuzz-short is the CI setting.
+# bit for bit against a fresh Solver) and the warm dual re-solve (a
+# random LP re-solved from its old basis after a right-hand-side change,
+# checked against a cold solve). FUZZTIME scales all targets;
+# fuzz-short is the CI setting.
 FUZZTIME ?= 20s
 
 fuzz:
@@ -98,6 +100,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -fuzz FuzzSparseLU -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -fuzz FuzzIncrementalSolve -fuzztime $(FUZZTIME) ./internal/lp
+	$(GO) test -fuzz FuzzWarmDualSolve -fuzztime $(FUZZTIME) ./internal/lp
 
 fuzz-short:
 	$(MAKE) fuzz FUZZTIME=10s

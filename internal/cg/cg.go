@@ -14,8 +14,9 @@
 // cache, and the last duals) is held in a State that survives demand
 // changes, so re-solves — the paper's §III update rule, and the PNC
 // epoch loop — start from everything the previous solve paid for
-// instead of TDMA-cold. A column garbage collector bounds the pool
-// across long epoch sequences by dropping long-nonbasic columns.
+// instead of TDMA-cold. A gain change keeps the recently useful part
+// of the pool (State.Rebase). A column garbage collector bounds the
+// pool across long epoch sequences by dropping long-nonbasic columns.
 package cg
 
 import (
@@ -72,8 +73,9 @@ type ContextPricer interface {
 // same result as PriceContext — feasibility of an activation pattern
 // does not depend on the duals, so memoized answers are exact, and
 // cached probes still count against the search budget so the explored
-// tree is identical. The engine passes one cache per State lifetime;
-// the network must stay immutable while the State is in use.
+// tree is identical. The engine passes one cache per State lifetime
+// (State.Rebase replaces it when the gains move); the network must
+// not change during a Run.
 type CachedPricer interface {
 	ContextPricer
 	PriceWithCache(ctx context.Context, nw *netmodel.Network, lambda [][]float64, cache *netmodel.ProbeCache) (*PriceResult, error)

@@ -146,3 +146,98 @@ func (m *stubModel) Upper(sol *lp.Solution) float64                     { return
 func (m *stubModel) Bound(float64, *PriceResult) (float64, bool)        { return 0, false }
 func (m *stubModel) ColumnOffset() int                                  { return m.offset }
 func (m *stubModel) SpanName() string                                   { return "stub" }
+
+// TestStateRebase: a rebase replaces the seeds, carries exactly the
+// non-seed columns the GC's age rule would keep and the carry function
+// accepts (in pool order, with their run stamps), drops duplicates of
+// the new seeds, and resets everything priced on the old gains while
+// the run and work counters carry on.
+func TestStateRebase(t *testing.T) {
+	all := twoLinkSchedules(12)
+	st := NewState(true)
+	st.Seed(all[:2])
+	for _, sc := range all[2:] {
+		st.pool.Add(sc)
+	}
+	st.syncBookkeeping()
+	st.runs = 10
+	// Last-in-basis stamps per pool column: at run 10 the default
+	// MinAge=2 rule keeps the non-seed columns stamped 8 or later.
+	stamps := []int{0, 0, 9, 5, 8, 10, 7, 9, 10, 2, 8, 9}
+	copy(st.lastBasic, stamps)
+	st.warmBasis = []lp.BasisVar{{Kind: lp.BasisStructural, Index: 5}}
+	st.prob, st.cols = lp.NewProblem(nil), 12
+	st.lastDuals = [][]float64{{1}}
+	st.stabCenter = [][]float64{{1}}
+	st.stats.Rounds = 42
+	cache := st.probeCache
+
+	// New seeds: a fresh column plus a copy of old column 4, so the
+	// carried column 4 is a duplicate. Column 7 fails the carry.
+	seeds := []*schedule.Schedule{
+		{Assignments: []schedule.Assignment{{Link: 3, Channel: 5, Level: 1}}},
+		all[4].Clone(),
+	}
+	var offered []string
+	carried, dropped := st.Rebase(GCPolicy{}, seeds, func(sc *schedule.Schedule) *schedule.Schedule {
+		offered = append(offered, sc.Key())
+		if sc.Key() == all[7].Key() {
+			return nil
+		}
+		c := sc.Clone()
+		c.Assignments[0].Power = 0.5
+		return c
+	})
+
+	// Recent (age ≤ 2): columns 2 (9), 4 (8), 5 (10), 7 (9), 8 (10),
+	// 10 (8), 11 (9). Column 4 duplicates a seed, column 7 fails.
+	if len(offered) != 7 {
+		t.Errorf("carry saw %d columns, want the 7 recent ones", len(offered))
+	}
+	if carried != 5 || dropped != 5 {
+		t.Errorf("carried %d, dropped %d; want 5 and 5", carried, dropped)
+	}
+	want := []*schedule.Schedule{seeds[0], seeds[1], all[2], all[5], all[8], all[10], all[11]}
+	wantStamps := []int{10, 10, 9, 10, 10, 8, 9}
+	if st.Pool().Len() != len(want) || st.seedLen != 2 {
+		t.Fatalf("pool %d (seedLen %d), want %d (2)", st.Pool().Len(), st.seedLen, len(want))
+	}
+	for j, sc := range want {
+		if st.Pool().At(j).Key() != sc.Key() {
+			t.Errorf("pool column %d is %v, want %v", j, st.Pool().At(j), sc)
+		}
+		if j >= 2 && st.Pool().At(j).Assignments[0].Power != 0.5 {
+			t.Errorf("pool column %d was not replaced by its carried form", j)
+		}
+	}
+	for j, w := range wantStamps {
+		if st.lastBasic[j] != w {
+			t.Errorf("stamp of column %d is %d, want %d", j, st.lastBasic[j], w)
+		}
+	}
+	if st.warmBasis != nil || st.prob != nil || st.solver != nil || st.cols != 0 {
+		t.Error("master or warm basis survived the rebase")
+	}
+	if st.lastDuals != nil || st.stabCenter != nil {
+		t.Error("duals or stabilization center survived the rebase")
+	}
+	if st.probeCache == nil || st.probeCache == cache {
+		t.Error("probe cache not replaced")
+	}
+	if st.runs != 10 || st.stats.Rounds != 42 {
+		t.Errorf("runs %d, rounds %d: the counters must carry on", st.runs, st.stats.Rounds)
+	}
+}
+
+// TestStateRebaseMoreSeeds: the re-derived seed set may outgrow the old
+// pool (a link that was unservable when the state was seeded recovers).
+func TestStateRebaseMoreSeeds(t *testing.T) {
+	all := twoLinkSchedules(6)
+	st := NewState(false)
+	st.Seed(all[:2])
+	carried, dropped := st.Rebase(GCPolicy{}, all, func(sc *schedule.Schedule) *schedule.Schedule { return sc })
+	if carried != 0 || dropped != 0 || st.Pool().Len() != 6 || st.seedLen != 6 || len(st.lastBasic) != 6 {
+		t.Fatalf("carried %d, dropped %d, pool %d, seedLen %d, stamps %d; want 0, 0, 6, 6, 6",
+			carried, dropped, st.Pool().Len(), st.seedLen, len(st.lastBasic))
+	}
+}

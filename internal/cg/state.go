@@ -15,10 +15,12 @@ import (
 // the same network under new demands, and every pooled column, every
 // memoized probe, and the final basis of the previous solve carry over.
 //
-// A State is bound to one immutable network: if the topology or the
-// CSI regime changes, pooled schedules may become infeasible and the
-// owner must discard the State and start cold (pnc.Coordinator does
-// this on any real gain change).
+// A State's columns, probe cache and basis are valid for the network
+// they were priced on. When only the gains move (a CSI update), Rebase
+// carries the state onto the new gains: the seeds are re-derived, the
+// recently useful columns are re-powered and re-validated, and
+// everything gain-dependent is reset. A topology change needs a new
+// State (pnc.Coordinator.InvalidateSolverState).
 type State struct {
 	pool    *schedule.Pool
 	seedLen int // leading columns pinned by Seed (coverage set, never GC'd)
@@ -44,9 +46,9 @@ type State struct {
 	// prob whenever the GC forces a master rebuild.
 	solver *lp.Solver
 
-	// probeCache memoizes pricing feasibility probes for the State's
-	// (immutable) network; see netmodel.ProbeCache. Demand changes never
-	// touch probe feasibility, so it lives as long as the State.
+	// probeCache memoizes pricing feasibility probes for the current
+	// gains; see netmodel.ProbeCache. Demand changes never touch probe
+	// feasibility, so it lives until Rebase replaces it.
 	probeCache *netmodel.ProbeCache
 
 	// lastBasic[j] is the run index when pool column j last sat in an
@@ -67,11 +69,10 @@ type State struct {
 
 	// stabCenter is the dual-stabilization center (class-major, the
 	// duals of the last round that admitted a column — see DESIGN.md
-	// §17). Like lastDuals it survives demand changes and epochs, and
-	// like every other field it dies with the State when the owner
-	// invalidates on a CSI/topology change, so a stale center can never
-	// leak across network regimes. Nil means cold (first stabilized
-	// round prices pure and seeds it).
+	// §17). Like lastDuals it survives demand changes and epochs; a
+	// CSI change resets it (Rebase) and a topology change discards the
+	// State, so a stale center never leaks across network regimes. Nil
+	// means cold (first stabilized round prices pure and seeds it).
 	stabCenter [][]float64
 
 	stats Stats
@@ -145,6 +146,20 @@ type GCPolicy struct {
 	MinAge int
 }
 
+// minAge resolves the policy's age threshold (zero means 2).
+func (p GCPolicy) minAge() int {
+	if p.MinAge <= 0 {
+		return 2
+	}
+	return p.MinAge
+}
+
+// recent reports whether pool column j sat in an optimal basis (or was
+// added) within the last minAge runs — the columns the GC keeps.
+func (st *State) recent(j, minAge int) bool {
+	return st.runs-st.lastBasic[j] <= minAge
+}
+
 // gc drops long-nonbasic, non-seed columns and rebuilds the master
 // incrementally from the compacted pool. The warm basis is remapped to
 // the new column indices — eviction candidates are by construction
@@ -155,10 +170,7 @@ func (st *State) gc(policy GCPolicy, model MasterModel) int {
 	if policy.MaxColumns <= 0 || st.pool.Len() <= policy.MaxColumns {
 		return 0
 	}
-	minAge := policy.MinAge
-	if minAge <= 0 {
-		minAge = 2
-	}
+	minAge := policy.minAge()
 	// Columns in the current warm basis are always kept, whatever their
 	// stamp says: evicting a basic column would invalidate the basis.
 	offset := model.ColumnOffset()
@@ -170,7 +182,7 @@ func (st *State) gc(policy GCPolicy, model MasterModel) int {
 	}
 
 	colMap := st.pool.Compact(func(j int, _ *schedule.Schedule) bool {
-		return j < st.seedLen || inBasis[j] || st.runs-st.lastBasic[j] <= minAge
+		return j < st.seedLen || inBasis[j] || st.recent(j, minAge)
 	})
 	evicted := 0
 	newLast := make([]int, 0, st.pool.Len())
@@ -199,4 +211,62 @@ func (st *State) gc(policy GCPolicy, model MasterModel) int {
 		st.warmBasis = nil // defensive: fall back to a cold master solve
 	}
 	return evicted
+}
+
+// Rebase moves the state onto new gains of the same network (a CSI
+// update) instead of discarding it. seeds replace the pinned coverage
+// set, which the caller re-derives under the new gains. Every non-seed
+// column the GC's age rule would keep (policy.MinAge, default 2) is
+// passed to carry, which returns it re-derived for the new gains — the
+// same links, channels, levels and layers, so the same master
+// coefficients — or nil when it is no longer feasible. Survivors follow
+// the seeds in their old order and keep their run stamps. Everything
+// priced on the old gains is reset: the master problem and its solver,
+// the warm basis, the probe cache, the last duals and the
+// stabilization center, so the next master solve starts cold on the
+// (small) carried pool. The run counter and the lifetime work counters
+// carry on. It returns the number of non-seed columns carried and
+// dropped.
+func (st *State) Rebase(policy GCPolicy, seeds []*schedule.Schedule, carry func(*schedule.Schedule) *schedule.Schedule) (carried, dropped int) {
+	minAge := policy.minAge()
+	pool := schedule.NewPool()
+	for _, sc := range seeds {
+		pool.Add(sc)
+	}
+	seedLen := pool.Len()
+	last := make([]int, seedLen, seedLen+st.pool.Len()-st.seedLen)
+	for j := range last {
+		last[j] = st.runs
+	}
+	for j := st.seedLen; j < st.pool.Len(); j++ {
+		if !st.recent(j, minAge) {
+			dropped++
+			continue
+		}
+		sc := carry(st.pool.At(j))
+		if sc == nil {
+			dropped++
+			continue
+		}
+		if _, added := pool.Add(sc); !added {
+			dropped++ // the re-derived seed set already holds it
+			continue
+		}
+		last = append(last, st.lastBasic[j])
+		carried++
+	}
+
+	st.pool = pool
+	st.seedLen = seedLen
+	st.lastBasic = last
+	st.prob = nil
+	st.solver = nil
+	st.cols = 0
+	st.warmBasis = nil
+	if st.probeCache != nil {
+		st.probeCache = netmodel.NewProbeCache()
+	}
+	st.lastDuals = nil
+	st.stabCenter = nil
+	return carried, dropped
 }

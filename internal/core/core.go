@@ -249,18 +249,20 @@ func (o Options) withDefaultPricer() Options {
 // prices fixed-power columns (the greedy builder adapts powers, and the
 // fixed-power ablation's master pool must stay PMax-only).
 func (o Options) heuristicPricer() cg.Pricer {
-	if o.HeuristicPricing.Disable {
+	if o.HeuristicPricing.Disable || o.fixedPower() {
 		return nil
 	}
-	switch p := o.Pricer.(type) {
-	case *BranchBoundPricer:
-		if p.FixedPower {
-			return nil
-		}
-	case GreedyPricer:
+	if _, ok := o.Pricer.(GreedyPricer); ok {
 		return nil
 	}
 	return GreedyPricer{PoolColumns: o.MultiColumn.Columns()}
+}
+
+// fixedPower reports whether the pricer builds fixed-power (PMax)
+// columns, the power-adaptation ablation.
+func (o Options) fixedPower() bool {
+	p, ok := o.Pricer.(*BranchBoundPricer)
+	return ok && p.FixedPower
 }
 
 // Solver runs column generation on one network instance, holding the
@@ -344,10 +346,11 @@ func (s *Solver) StateSnapshot() *cg.StateSnapshot {
 // state instead of the TDMA-cold initialization: the next Solve
 // warm-starts from the snapshot's pool and basis exactly as the
 // snapshotted solver would have, so a restored coordinator re-solves
-// byte-identically. The snapshot must come from a solver on an
-// identical network (the checkpoint layer gates this with a problem
-// fingerprint); every snapshot column is re-validated against nw as
-// defense in depth.
+// byte-identically. The snapshot's columns are not checked against nw:
+// a snapshot from a solver on identical gains can be checked first
+// with StateSnapshot.ValidateAgainst, and one taken before the gains
+// moved must be rebased (Rebase) before the next Solve, exactly as the
+// snapshotted solver would have been.
 func NewSolverFromSnapshot(nw *netmodel.Network, demands []video.Demand, opts Options, snap *cg.StateSnapshot) (*Solver, error) {
 	if err := nw.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid network: %w", err)
@@ -356,9 +359,6 @@ func NewSolverFromSnapshot(nw *netmodel.Network, demands []video.Demand, opts Op
 		return nil, err
 	}
 	if err := checkClasses(nw, opts.Classes); err != nil {
-		return nil, err
-	}
-	if err := snap.ValidateAgainst(nw); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaultPricer()
@@ -372,6 +372,65 @@ func NewSolverFromSnapshot(nw *netmodel.Network, demands []video.Demand, opts Op
 		return nil, err
 	}
 	return s, nil
+}
+
+// Rebase moves the solver onto nw, the same links and classes under
+// new gains (a CSI update), instead of starting TDMA-cold: the TDMA
+// seeds are re-derived under the new gains, and every other column the
+// column GC's age rule would keep (Options.ColumnGC.MinAge, default 2)
+// is re-powered to its minimal powers (PMax under a fixed-power
+// pricer) and kept only if it validates under the new gains. Levels
+// are unchanged, so the carried columns' rate vectors — the master
+// coefficients — are too. The master, warm basis, probe cache, last
+// duals and stabilization center are reset (cg.State.Rebase), so the
+// next Solve starts from a cold master over the carried pool. Demands
+// are kept; links the new gains made unservable are caught by the next
+// SetDemands. It returns the number of non-seed columns carried and
+// dropped.
+func (s *Solver) Rebase(nw *netmodel.Network) (carried, dropped int, err error) {
+	if err := nw.Validate(); err != nil {
+		return 0, 0, fmt.Errorf("core: invalid network: %w", err)
+	}
+	if nw.NumLinks() != s.nw.NumLinks() || nw.TrafficClasses() != s.nw.TrafficClasses() {
+		return 0, 0, fmt.Errorf("core: rebase onto %d links × %d classes, solver has %d × %d",
+			nw.NumLinks(), nw.TrafficClasses(), s.nw.NumLinks(), s.nw.TrafficClasses())
+	}
+	fixed := s.opts.fixedPower()
+	carried, dropped = s.engine.State().Rebase(s.opts.ColumnGC, schedule.TDMA(nw), func(sc *schedule.Schedule) *schedule.Schedule {
+		return repower(nw, sc, fixed)
+	})
+	s.nw = nw
+	s.engine = cg.NewEngine(nw, &p1Model{s: s}, s.engine.State(), s.opts.engineOptions())
+	return carried, dropped, nil
+}
+
+// repower re-derives a pooled column for new gains: the same links,
+// channels, levels and layers with the minimal powers meeting the
+// levels' thresholds (PMax kept under fixed power), or nil when the
+// result does not validate.
+func repower(nw *netmodel.Network, sc *schedule.Schedule, fixed bool) *schedule.Schedule {
+	out := sc.Clone()
+	if !fixed {
+		n := len(out.Assignments)
+		active, chans, gammas := make([]int, n), make([]int, n), make([]float64, n)
+		for i, a := range out.Assignments {
+			if a.Level < 0 || a.Level >= nw.Rates.Levels() {
+				return nil
+			}
+			active[i], chans[i], gammas[i] = a.Link, a.Channel, nw.Rates.Gammas[a.Level]
+		}
+		powers, ok := nw.MinPowersAssigned(active, chans, gammas)
+		if !ok {
+			return nil
+		}
+		for i := range out.Assignments {
+			out.Assignments[i].Power = powers[i]
+		}
+	}
+	if out.Validate(nw) != nil {
+		return nil
+	}
+	return out
 }
 
 // checkCoverage rejects demand vectors with positive demand on links

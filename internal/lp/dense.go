@@ -54,6 +54,7 @@ func solveDense(p *Problem, t *tableau, opt Options, tol float64, maxIter int) (
 
 	iters1 := 0
 	warmUsed := false
+	cold := false
 	switch t.tryWarmStart(opt.WarmBasis) {
 	case warmPrimalFeasible:
 		// Straight to phase 2.
@@ -63,18 +64,27 @@ func solveDense(p *Problem, t *tableau, opt Options, tol float64, maxIter int) (
 		// The basis factorizes and prices out non-negatively (typical
 		// after a right-hand-side change, e.g. a demand update): the
 		// dual simplex restores primal feasibility without phase 1.
-		st, it := t.runDual(t.phase2Costs(), maxIter)
+		st, it := t.runDual(t.phase2Costs(), maxIter, 2*t.m+20)
 		iters1 = it
 		switch st {
 		case StatusIterLimit:
 			return &Solution{Status: StatusIterLimit, Iterations: iters1, Refactorizations: t.refactorizations, Warm: true}, nil
 		case StatusInfeasible:
 			return &Solution{Status: StatusInfeasible, Iterations: iters1, Refactorizations: t.refactorizations, Warm: true}, nil
+		case statusBreakdown:
+			// Numerical ruin during the repair: restart from the cold
+			// tableau, as the sparse path does.
+			warmUsed = false
+			cold = true
+			t.fill(p, tol)
 		}
 	default:
+		cold = true
+	}
+	if cold {
 		// Phase 1: minimize the sum of artificial variables.
-		var st Status
-		st, iters1 = t.run(t.phase1Costs(), maxIter, true)
+		st, it := t.run(t.phase1Costs(), maxIter-iters1, true)
+		iters1 += it
 		if st == StatusIterLimit {
 			return &Solution{Status: StatusIterLimit, Iterations: iters1, Refactorizations: t.refactorizations}, nil
 		}
@@ -175,6 +185,8 @@ type tableau struct {
 	warmCand  []int
 	warmSeen  []bool
 	basisSave []int
+
+	dCands []dualCand // dual ratio test scratch
 }
 
 // growF resizes a float scratch slice without preserving contents.
@@ -752,10 +764,16 @@ func (t *tableau) tryWarmStart(warm []BasisVar) warmOutcome {
 		return warmUnusable
 	}
 	primal := true
-	for _, v := range t.xB {
+	for i, v := range t.xB {
+		if t.isArtificial(t.basis[i]) && math.Abs(v) > 1e-7 {
+			// A retained artificial lifted off zero by a right-hand-side
+			// change: barred in phase 2, neither simplex would move it
+			// (the sparse rule verbatim).
+			restore()
+			return warmUnusable
+		}
 		if v < -1e-7 {
 			primal = false
-			break
 		}
 	}
 	if primal {
@@ -779,22 +797,39 @@ func (t *tableau) tryWarmStart(warm []BasisVar) warmOutcome {
 
 // runDual performs dual simplex pivots from a dual-feasible basis
 // until primal feasibility (then the point is optimal), proven primal
-// infeasibility, or the iteration budget runs out.
-func (t *tableau) runDual(c []float64, maxIter int) (Status, int) {
+// infeasibility, or the iteration budget runs out. After blandAfter
+// pivots without a dual-objective increase the leaving row switches to the
+// negative basic value with the smallest variable index (Bland's rule
+// for the dual simplex), the sparse loop's anti-cycling rule verbatim.
+func (t *tableau) runDual(c []float64, maxIter, blandAfter int) (Status, int) {
 	// Artificials stay barred exactly as in primal phase 2.
 	for j := t.n - t.nArt; j < t.n; j++ {
 		t.barred[j] = true
 	}
 	iters := 0
+	stall := 0
+	lastObj := math.Inf(-1)
 	for {
 		if iters >= maxIter {
 			return StatusIterLimit, iters
 		}
-		// Leaving row: most negative basic value.
+		useBland := stall >= blandAfter
+		// Leaving row: most negative basic value, or under Bland the
+		// negative one with the smallest basic index.
 		leave := -1
 		worst := -t.tol
 		for i := 0; i < t.m; i++ {
-			if t.xB[i] < worst {
+			if !finite(t.xB[i]) {
+				return statusBreakdown, iters
+			}
+			if t.xB[i] >= -t.tol {
+				continue
+			}
+			if useBland {
+				if leave < 0 || t.basis[i] < t.basis[leave] {
+					leave = i
+				}
+			} else if t.xB[i] < worst {
 				worst = t.xB[i]
 				leave = i
 			}
@@ -804,15 +839,19 @@ func (t *tableau) runDual(c []float64, maxIter int) (Status, int) {
 		}
 
 		// Row leave of B⁻¹·A over nonbasic columns; candidates need a
-		// negative entry to push the basic value up.
+		// negative entry to push the basic value up. The entering
+		// column follows the sparse rule (dualEntering).
 		y := t.dualsInto(t.yBuf, c)
-		enter := -1
-		bestRatio := math.Inf(1)
+		t.dCands = t.dCands[:0]
+		maxAlpha := 0.0
 		for j := 0; j < t.n; j++ {
 			if t.inBas[j] || t.barred[j] {
 				continue
 			}
 			alpha := dot(t.binv[leave], t.cols[j])
+			if a := math.Abs(alpha); a > maxAlpha {
+				maxAlpha = a
+			}
 			if alpha >= -1e-9 {
 				continue
 			}
@@ -820,12 +859,11 @@ func (t *tableau) runDual(c []float64, maxIter int) (Status, int) {
 			if rc < 0 {
 				rc = 0 // roundoff: dual feasibility holds by invariant
 			}
-			ratio := rc / -alpha
-			if ratio < bestRatio-t.tol ||
-				(ratio < bestRatio+t.tol && (enter < 0 || j < enter)) {
-				bestRatio = ratio
-				enter = j
-			}
+			t.dCands = append(t.dCands, dualCand{j: j, ratio: rc / -alpha, alpha: -alpha})
+		}
+		enter, noise := dualEntering(t.dCands, maxAlpha, t.tol, useBland)
+		if noise {
+			return statusBreakdown, iters
 		}
 		if enter < 0 {
 			return StatusInfeasible, iters // the row proves Ax{≤,=,≥}b empty
@@ -834,7 +872,69 @@ func (t *tableau) runDual(c []float64, maxIter int) (Status, int) {
 		u := t.applyBinvInto(t.uBuf, t.cols[enter])
 		t.pivotDual(enter, leave, u)
 		iters++
+
+		if obj := t.objective(c); obj > lastObj+t.tol {
+			stall = 0
+			lastObj = obj
+		} else {
+			stall++
+		}
 	}
+}
+
+// dualPivRel is the smallest |α|, relative to the largest |α| in the
+// B⁻¹A row, the dual ratio test accepts as a pivot. Smaller entries are
+// cancellation noise: pivoting on one blows the basic values up by its
+// reciprocal.
+const dualPivRel = 1e-7
+
+// dualCand is one dual ratio test candidate: a column whose B⁻¹A row
+// entry α has the sign that pushes the leaving value toward
+// feasibility, with its ratio |rc|/|α| and |α|.
+type dualCand struct {
+	j            int
+	ratio, alpha float64
+}
+
+// dualEntering picks the dual simplex's entering column from the ratio
+// test candidates; maxAlpha is the largest |α| over the whole row.
+// Candidates below dualPivRel·maxAlpha are never pivots. Normally it is
+// Harris's two-pass test: the bound θ is the smallest ratio with every
+// reduced cost relaxed by tol, and among the candidates whose ratio is
+// within θ the largest |α| wins, the smaller column on ties (within
+// 1e-9 relative, so the sparse and dense paths' roundoff does not split
+// them). Under Bland the smallest ratio wins (within tol), the smaller
+// column on ties. It returns -1 when there is no candidate (the row
+// proves infeasibility) and reports noise when every candidate was too
+// small to pivot on: the row then proves nothing, and the caller
+// restarts cold.
+func dualEntering(cands []dualCand, maxAlpha, tol float64, bland bool) (enter int, noise bool) {
+	floor := dualPivRel * maxAlpha
+	theta := math.Inf(1)
+	for _, c := range cands {
+		if c.alpha >= floor {
+			theta = math.Min(theta, c.ratio+tol/c.alpha)
+		}
+	}
+	if math.IsInf(theta, 1) {
+		return -1, len(cands) > 0
+	}
+	enter = -1
+	best := 0.0
+	for _, c := range cands {
+		switch {
+		case c.alpha < floor:
+		case bland:
+			if enter < 0 || c.ratio < best-tol || (c.ratio < best+tol && c.j < enter) {
+				best = c.ratio
+				enter = c.j
+			}
+		case c.ratio <= theta && (enter < 0 || c.alpha > best*(1+1e-9)):
+			best = c.alpha
+			enter = c.j
+		}
+	}
+	return enter, false
 }
 
 // pivotDual performs the basis exchange for the dual simplex, where

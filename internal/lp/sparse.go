@@ -92,6 +92,8 @@ type spx struct {
 	warmCand []int
 	warmSeen []bool
 
+	dCands []dualCand // dual ratio test scratch
+
 	// luFresh reports that lu factors exactly the current basis with
 	// an empty eta file: set by a successful factorizeBasis, cleared by
 	// every pivot and by fill (which rewrites the columns under it).
@@ -878,31 +880,62 @@ func (s *spx) pivot(enter int, esgn float64, leaveRow int, leaveToUpper bool, u 
 // runDual performs dual simplex pivots from a dual-feasible basis
 // until every basic variable is back inside its bounds (optimal),
 // proven primal infeasibility, or the iteration budget runs out.
-func (s *spx) runDual(c []float64, maxIter int) (Status, int) {
+//
+// The entering column comes from dualEntering (a Harris ratio test
+// that never pivots on noise). Anti-cycling mirrors the primal loop:
+// the dual objective (the basic solution's cost, nondecreasing under
+// dual pivots) is tracked, and after blandAfter pivots without an
+// increase (2m+20 in solves, as in the primal loop) the leaving row
+// switches from the largest violation to the violated
+// row whose basic variable has the smallest index, and the entering
+// column to the smallest ratio and index (Bland's rule for the dual
+// simplex). Dual-degenerate masters — zero reduced costs on many
+// nonbasic columns, common after a demand change on a
+// column-generation pool — otherwise cycled at the optimal objective
+// until the iteration cap. A non-finite basic value, or a row whose
+// only candidates are noise, reports statusBreakdown.
+func (s *spx) runDual(c []float64, maxIter, blandAfter int) (Status, int) {
 	// Artificials stay barred exactly as in primal phase 2.
 	for j := s.n - s.nArt; j < s.n; j++ {
 		s.barred[j] = true
 	}
 	iters := 0
+	stall := 0
+	lastObj := math.Inf(-1)
 	for {
 		if iters >= maxIter {
 			return StatusIterLimit, iters
 		}
+		useBland := stall >= blandAfter
 		// Leaving row: largest bound violation (with nil bounds this
-		// is the dense "most negative basic value" rule).
+		// is the dense "most negative basic value" rule), or under
+		// Bland the violated row with the smallest basic index.
 		leave := -1
 		leaveBelow := false
 		worst := s.tol
 		for i := 0; i < s.m; i++ {
+			if !finite(s.xB[i]) {
+				return statusBreakdown, iters
+			}
 			jb := s.basis[i]
-			if v := s.lower[jb] - s.xB[i]; v > worst {
+			below := true
+			v := s.lower[jb] - s.xB[i]
+			if v <= s.tol {
+				below = false
+				v = s.xB[i] - s.upper[jb]
+			}
+			if v <= s.tol {
+				continue
+			}
+			if useBland {
+				if leave < 0 || jb < s.basis[leave] {
+					leave = i
+					leaveBelow = below
+				}
+			} else if v > worst {
 				worst = v
 				leave = i
-				leaveBelow = true
-			} else if v := s.xB[i] - s.upper[jb]; v > worst {
-				worst = v
-				leave = i
-				leaveBelow = false
+				leaveBelow = below
 			}
 		}
 		if leave < 0 {
@@ -915,18 +948,22 @@ func (s *spx) runDual(c []float64, maxIter int) (Status, int) {
 
 		// Entering: the dual ratio test over row leave of B⁻¹A. A
 		// candidate's movement away from its bound must push the
-		// leaving value toward feasibility; among candidates the
-		// smallest reduced-cost ratio keeps dual feasibility, with the
-		// dense smaller-index tie-break.
+		// leaving value toward feasibility, and the step is limited by
+		// the smallest reduced-cost ratio (dual feasibility);
+		// dualEntering picks the pivot among the candidates.
 		rho := s.btranUnit(leave)
 		y := s.pricingDuals(c)
-		enter := -1
-		bestRatio := math.Inf(1)
+		s.dCands = s.dCands[:0]
+		maxAlpha := 0.0
 		for j := 0; j < s.n; j++ {
 			if s.vstat[j] == vBasic || s.barred[j] {
 				continue
 			}
 			alpha := s.colDot(rho, j)
+			a := math.Abs(alpha)
+			if a > maxAlpha {
+				maxAlpha = a
+			}
 			sgnj := 1.0
 			if s.vstat[j] == nbUpper {
 				sgnj = -1
@@ -944,12 +981,11 @@ func (s *spx) runDual(c []float64, maxIter int) (Status, int) {
 			} else if rc > 0 {
 				rc = 0
 			}
-			ratio := math.Abs(rc) / math.Abs(alpha)
-			if ratio < bestRatio-s.tol ||
-				(ratio < bestRatio+s.tol && (enter < 0 || j < enter)) {
-				bestRatio = ratio
-				enter = j
-			}
+			s.dCands = append(s.dCands, dualCand{j: j, ratio: math.Abs(rc) / a, alpha: a})
+		}
+		enter, noise := dualEntering(s.dCands, maxAlpha, s.tol, useBland)
+		if noise {
+			return statusBreakdown, iters
 		}
 		if enter < 0 {
 			return StatusInfeasible, iters // the row proves the bounds box empty
@@ -962,6 +998,13 @@ func (s *spx) runDual(c []float64, maxIter int) (Status, int) {
 		u := s.ftranColInto(s.uBuf, enter)
 		s.pivotDual(enter, esgn, leave, leaveBelow, u)
 		iters++
+
+		if obj := s.objective(c); obj > lastObj+s.tol {
+			stall = 0
+			lastObj = obj
+		} else {
+			stall++
+		}
 	}
 }
 
@@ -1089,9 +1132,17 @@ func (s *spx) tryWarmStart(warm []BasisVar) warmOutcome {
 	primal := true
 	for r := 0; r < s.m; r++ {
 		jb := s.basis[r]
+		if s.isArtificial(jb) && math.Abs(s.xB[r]) > 1e-7 {
+			// A retained artificial (the auxiliary of a row that was
+			// redundant when the basis was optimal) is barred in phase 2
+			// and unbounded above, so neither simplex would move it: a
+			// right-hand-side change that lifts it off zero would be
+			// reported as optimal with the row violated.
+			s.restoreColdBasis()
+			return warmUnusable
+		}
 		if s.xB[r] < s.lower[jb]-1e-7 || s.xB[r] > s.upper[jb]+1e-7 {
 			primal = false
-			break
 		}
 	}
 	if primal {
@@ -1191,6 +1242,14 @@ func (s *spx) encodeBasis() []BasisVar {
 	return out
 }
 
+// statusBreakdown is the dual simplex's internal report of numerical
+// ruin — a non-finite basic value, or a ratio test row whose every
+// candidate is noise; the solve restarts cold.
+const statusBreakdown Status = -1
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return v-v == 0 }
+
 // solveSparse runs the two-phase sparse simplex in the given
 // workspace. The caller has already validated the problem, resolved
 // tol/maxIter, and handled crossed bounds and the zero-row case;
@@ -1205,6 +1264,7 @@ func solveSparse(p *Problem, s *spx, opt Options, tol float64, maxIter int, appe
 
 	iters1 := 0
 	warmUsed := false
+	cold := false
 	switch s.tryWarmStart(opt.WarmBasis) {
 	case warmPrimalFeasible:
 		warmUsed = true
@@ -1213,17 +1273,27 @@ func solveSparse(p *Problem, s *spx, opt Options, tol float64, maxIter int, appe
 		// Dual repair after a right-hand-side or bound change. Warm is
 		// reported even when the repair needs zero pivots or proves the
 		// tightened problem infeasible — the basis did its job.
-		st, it := s.runDual(s.phase2Costs(), maxIter)
+		st, it := s.runDual(s.phase2Costs(), maxIter, 2*s.m+20)
 		iters1 = it
 		switch st {
 		case StatusIterLimit:
 			return s.failSolution(StatusIterLimit, iters1, true), nil
 		case StatusInfeasible:
 			return s.failSolution(StatusInfeasible, iters1, true), nil
+		case statusBreakdown:
+			// The repair pivoted the basis into numerical ruin (a
+			// non-finite basic value): start over cold.
+			warmUsed = false
+			cold = true
+			clear(s.barred)
+			s.restoreColdBasis()
 		}
 	default:
-		var st Status
-		st, iters1 = s.run(s.phase1Costs(), maxIter, true)
+		cold = true
+	}
+	if cold {
+		st, it := s.run(s.phase1Costs(), maxIter-iters1, true)
+		iters1 += it
 		if st == StatusIterLimit {
 			return s.failSolution(StatusIterLimit, iters1, false), nil
 		}

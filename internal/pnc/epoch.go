@@ -247,7 +247,7 @@ func (c *Coordinator) RunEpochContext(ctx context.Context) (*EpochResult, error)
 		span.Emit(obs.Event{Name: "epoch.demand_deferred", N: float64(len(out.DeferredLinks))})
 	}
 
-	res, err := c.solveEpoch(ctx, demands)
+	res, err := c.solveEpoch(ctx, span, demands)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +256,7 @@ func (c *Coordinator) RunEpochContext(ctx context.Context) (*EpochResult, error)
 	// sheds strictly first.
 	if b := c.Policy.EpochBudget; b > 0 && res.Plan.Objective > b {
 		out.Degraded = true
-		demands, res, out.ShedByClass, err = c.shedToBudget(ctx, demands, res)
+		demands, res, out.ShedByClass, err = c.shedToBudget(ctx, span, demands, res)
 		if err != nil {
 			return nil, err
 		}
@@ -391,14 +391,18 @@ func (c *Coordinator) publishEpoch(out *EpochResult) {
 // solveEpoch runs one P1 solve under the policy's solve budget,
 // threading the coordinator's tracer and metrics into the solver
 // options when they carry none of their own. It reuses the persistent
-// cross-epoch solver whenever the CSI regime is unchanged (same gains
-// fingerprint): the solve then warm-starts from the previous epoch's
+// cross-epoch solver: the solve warm-starts from the previous epoch's
 // schedule pool and simplex basis via SetDemands, typically needing
-// far fewer pricing rounds and LP pivots. Load-shedding sub-solves
-// within one epoch share the same warm state. On any warm-path error
-// (e.g. new demand on a link no pooled column serves) the coordinator
-// falls back to a cold solver rather than failing the epoch.
-func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*core.Result, error) {
+// far fewer pricing rounds and LP pivots. When the gains moved since
+// the solver's last solve (the fingerprint differs), the solver is
+// first rebased onto them (core.Solver.Rebase: re-derived seeds plus
+// the re-powered recent columns, under a cold master) and an
+// "epoch.rebase" event records the carried and dropped column counts.
+// Load-shedding sub-solves within one epoch share the same state. On
+// any error of a warm or rebased attempt (e.g. new demand on a link no
+// pooled column serves) the coordinator falls back to a cold solver
+// rather than failing the epoch.
+func (c *Coordinator) solveEpoch(ctx context.Context, span *obs.Span, demands []video.Demand) (*core.Result, error) {
 	sctx := ctx
 	if c.Policy.SolveBudget > 0 {
 		var cancel context.CancelFunc
@@ -406,18 +410,34 @@ func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*
 		defer cancel()
 	}
 
-	if c.solver != nil && c.solverFP == c.gainsFingerprint() {
+	fp := c.gainsFingerprint()
+	rebased := false
+	if c.solver != nil && c.solverFP != fp {
+		carried, dropped, err := c.solver.Rebase(c.Network)
+		if err != nil {
+			c.count("pnc_warm_fallbacks_total")
+			c.InvalidateSolverState()
+		} else {
+			c.solverFP = fp
+			rebased = true
+			span.Emit(obs.Event{Name: "epoch.rebase", Pool: carried, N: float64(dropped)})
+		}
+	}
+	if c.solver != nil {
 		if err := c.solver.SetDemands(demands); err == nil {
 			res, err := c.solver.Solve(sctx)
 			if err == nil {
-				if c.Metrics != nil {
-					c.Metrics.Counter("pnc_warm_solves_total").Inc()
+				if rebased {
+					c.count("pnc_rebased_solves_total")
+				} else {
+					c.count("pnc_warm_solves_total")
 				}
 				return res, nil
 			}
 		}
 		// Warm path unusable (uncovered demand, master failure): drop
 		// the state and solve cold below.
+		c.count("pnc_warm_fallbacks_total")
 		c.InvalidateSolverState()
 	}
 
@@ -430,11 +450,16 @@ func (c *Coordinator) solveEpoch(ctx context.Context, demands []video.Demand) (*
 		return nil, fmt.Errorf("pnc: epoch solve: %w", err)
 	}
 	c.solver = solver
-	c.solverFP = c.gainsFingerprint()
-	if c.Metrics != nil {
-		c.Metrics.Counter("pnc_cold_solves_total").Inc()
-	}
+	c.solverFP = fp
+	c.count("pnc_cold_solves_total")
 	return res, nil
+}
+
+// count bumps a pnc counter (free with no registry).
+func (c *Coordinator) count(name string) {
+	if c.Metrics != nil {
+		c.Metrics.Counter(name).Inc()
+	}
 }
 
 // solverOptions resolves the effective per-epoch solver options: the
@@ -524,7 +549,7 @@ func restrictClasses(demands []video.Demand, n int) []video.Demand {
 // time is monotone in demand) and everything below it is shed; if even
 // class 0 alone overruns, it is scaled to the budget ratio. Returns
 // the shed demand vector, its plan, and the bits shed per class.
-func (c *Coordinator) shedToBudget(ctx context.Context, demands []video.Demand, full *core.Result) ([]video.Demand, *core.Result, []float64, error) {
+func (c *Coordinator) shedToBudget(ctx context.Context, span *obs.Span, demands []video.Demand, full *core.Result) ([]video.Demand, *core.Result, []float64, error) {
 	b := c.Policy.EpochBudget
 	nc := classCount(demands)
 	shed := make([]float64, nc)
@@ -540,7 +565,7 @@ func (c *Coordinator) shedToBudget(ctx context.Context, demands []video.Demand, 
 	cur := full
 	for cl := nc - 1; cl >= 1; cl-- {
 		prefix := restrictClasses(demands, cl)
-		prefixRes, err := c.solveEpoch(ctx, prefix)
+		prefixRes, err := c.solveEpoch(ctx, span, prefix)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -556,7 +581,7 @@ func (c *Coordinator) shedToBudget(ctx context.Context, demands []video.Demand, 
 							mixed[l][cl] *= f
 						}
 					}
-					if mres, err := c.solveEpoch(ctx, mixed); err == nil && mres.Plan.Objective <= b*(1+1e-6) {
+					if mres, err := c.solveEpoch(ctx, span, mixed); err == nil && mres.Plan.Objective <= b*(1+1e-6) {
 						shed[cl] = classTotal[cl] * (1 - f)
 						return mixed, mres, shed, nil
 					}
@@ -581,7 +606,7 @@ func (c *Coordinator) shedToBudget(ctx context.Context, demands []video.Demand, 
 		}
 	}
 	shed[0] = classTotal[0] * (1 - scale)
-	sres, err := c.solveEpoch(ctx, scaled)
+	sres, err := c.solveEpoch(ctx, span, scaled)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -350,11 +350,12 @@ type Coordinator struct {
 	// Cross-epoch solver reuse: one core.Solver (and its cg engine
 	// state — schedule pool, warm simplex basis, probe cache) persists
 	// across epochs, so each re-solve starts from the previous epoch's
-	// columns and basis instead of TDMA-cold. The state is dropped when
-	// the CSI regime changes: a channel update carrying genuinely new
-	// gains invalidates it in apply, and solverFP (a fingerprint of the
-	// gain matrices at solver construction) catches out-of-band
-	// mutations of Network.Gains (blockage sweeps, experiment drivers).
+	// columns and basis instead of TDMA-cold. solverFP fingerprints the
+	// gain matrices the solver last solved on; when the gains moved —
+	// a channel update carrying new gains, or an out-of-band mutation of
+	// Network.Gains (blockage sweeps, experiment drivers) — solveEpoch
+	// rebases the solver onto them (core.Solver.Rebase) before solving.
+	// Only topology edits need InvalidateSolverState.
 	solver   *core.Solver
 	solverFP uint64
 
@@ -434,22 +435,12 @@ func (c *Coordinator) apply(frame []byte) error {
 				return errors.New("pnc: channel update carries invalid gain")
 			}
 		}
-		// Only a genuine CSI change invalidates the warm solver state:
-		// nodes re-reporting unchanged gains (a common keepalive pattern)
-		// must not force a cold start. Pooled schedules embed powers and
-		// SINR-feasible levels for the old gains, so after a real change
-		// they may be infeasible and the whole pool is dropped.
-		changed := false
-		for k, g := range u.Gains {
-			if c.Network.Gains.Direct[u.Link][k] != g {
-				changed = true
-				break
-			}
-		}
-		if changed {
-			copy(c.Network.Gains.Direct[u.Link], u.Gains)
-			c.InvalidateSolverState()
-		}
+		// The gains land in the network; the solver state stays. The
+		// next solveEpoch sees the gains fingerprint move and rebases
+		// the pool onto the new gains once, however many updates
+		// arrived. Re-reported unchanged gains (a common keepalive
+		// pattern) leave the fingerprint, and so the warm state, alone.
+		copy(c.Network.Gains.Direct[u.Link], u.Gains)
 		return nil
 	default:
 		return fmt.Errorf("pnc: unexpected uplink message type %v", MsgType(frame[0]))
@@ -458,20 +449,20 @@ func (c *Coordinator) apply(frame []byte) error {
 
 // InvalidateSolverState drops the coordinator's persistent solver
 // state (schedule pool, warm basis, probe cache): the next epoch
-// starts TDMA-cold. Called automatically when a channel update carries
-// changed gains; call it directly after mutating the network out of
-// band (topology edits, blockage toggles) if you bypass the control
-// channel.
+// starts TDMA-cold. Gain changes do not need it — solveEpoch rebases
+// the solver onto new gains, whether they arrived by channel update or
+// out of band. Call it after a topology edit (links, channels, noise,
+// rate table), which a rebase cannot carry a pool across.
 func (c *Coordinator) InvalidateSolverState() {
 	c.solver = nil
 	c.solverFP = 0
 }
 
 // gainsFingerprint hashes the current gain matrices (FNV-1a over the
-// IEEE-754 bits of every direct and cross gain). It is the cheap
-// defense against out-of-band CSI mutation: solveEpoch compares it to
-// the fingerprint taken at solver construction and cold-starts on
-// mismatch.
+// IEEE-754 bits of every direct and cross gain). solveEpoch compares
+// it to the fingerprint the solver last solved on and rebases on a
+// mismatch, which covers channel updates and out-of-band CSI mutation
+// alike.
 func (c *Coordinator) gainsFingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -55,11 +55,11 @@ type CoordState struct {
 	Control       ControlState
 	EpochAirStart float64
 	EpochMsgStart int64
-	// SolverFP is the gains fingerprint the warm solver was built
-	// against; Solver is its engine snapshot and SolverDemands the
-	// demand vector it last solved. Solver is nil when the coordinator
-	// had no warm state (then the next epoch cold-starts, exactly as it
-	// would have anyway).
+	// SolverFP is the gains fingerprint the warm solver last solved
+	// on; Solver is its engine snapshot and SolverDemands the demand
+	// vector it last solved. Solver is nil when the coordinator had no
+	// warm state (then the next epoch cold-starts, exactly as it would
+	// have anyway).
 	SolverFP      uint64
 	Solver        *cg.StateSnapshot
 	SolverDemands []video.Demand
@@ -125,12 +125,16 @@ func (c *Coordinator) ExportState() *CoordState {
 // coordinator must have been built over the same network the state was
 // exported from (the checkpoint layer gates this with a problem
 // fingerprint). The warm solver is rebuilt from its snapshot so the
-// next epoch re-solves byte-identically; if the network's gains no
-// longer match the snapshotted fingerprint — CSI moved between export
-// and restore — the warm state is discarded and the next epoch
-// cold-starts, the same degradation an uninterrupted coordinator
-// applies on a gains change. A structurally broken snapshot returns an
-// error and leaves the coordinator unchanged.
+// next epoch re-solves byte-identically. A snapshot taken on the
+// current gains has every column re-validated against the network as
+// defense in depth. One whose gains fingerprint no longer matches —
+// CSI moved after the solver's last solve, before or after the export
+// — is restored as is, fingerprint included: the next epoch sees the
+// mismatch and rebases it onto the gains it solves on, exactly where
+// the uninterrupted coordinator rebases its own (rebasing here instead
+// would diverge whenever more CSI arrives before that epoch). A
+// structurally broken snapshot returns an error and leaves the
+// coordinator unchanged.
 func (c *Coordinator) ImportState(st *CoordState) error {
 	if err := st.Validate(c.Network.NumLinks()); err != nil {
 		return err
@@ -140,7 +144,12 @@ func (c *Coordinator) ImportState(st *CoordState) error {
 	// failing it must not leave the coordinator half-restored.
 	var solver *core.Solver
 	var solverFP uint64
-	if st.Solver != nil && st.SolverFP == c.gainsFingerprint() {
+	if st.Solver != nil {
+		if st.SolverFP == c.gainsFingerprint() {
+			if err := st.Solver.ValidateAgainst(c.Network); err != nil {
+				return fmt.Errorf("pnc: restore solver: %w", err)
+			}
+		}
 		s, err := core.NewSolverFromSnapshot(c.Network, st.SolverDemands, c.solverOptions(), st.Solver)
 		if err != nil {
 			return fmt.Errorf("pnc: restore solver: %w", err)

@@ -1,11 +1,13 @@
 package pnc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"mmwave/internal/cg"
 	"mmwave/internal/core"
+	"mmwave/internal/obs"
 	"mmwave/internal/video"
 )
 
@@ -92,9 +94,11 @@ func TestExportImportByteIdentical(t *testing.T) {
 	}
 }
 
-// TestImportStateFingerprintMismatch: a snapshot taken under different
-// gains must not warm-start — the restored coordinator drops the
-// solver state and cold-starts, mirroring the live invalidation path.
+// TestImportStateFingerprintMismatch: a snapshot taken under
+// different gains is restored, not discarded, and the next epoch
+// rebases it onto the current gains — the same plan and work as the
+// uninterrupted coordinator, which rebases its own state, and no
+// TDMA-cold solver.
 func TestImportStateFingerprintMismatch(t *testing.T) {
 	nw := testNetwork(t, 12, 5, 3)
 	live, err := NewCoordinator(nw, nil, core.Options{})
@@ -116,19 +120,128 @@ func TestImportStateFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	restored.Metrics = reg
 	if err := restored.ImportState(st); err != nil {
 		t.Fatal(err)
 	}
+	reportAll(t, live, 5, d)
 	reportAll(t, restored, 5, d)
-	ep, err := restored.RunEpoch()
+	a, err := live.RunEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep.WarmSolve {
-		t.Error("restore onto changed gains still warm-started")
+	b, err := restored.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
 	}
+	samePlan(t, a, b, "rebased epoch")
+	if b.WarmSolve {
+		t.Error("restore onto changed gains reused the old basis")
+	}
+	if cold, _, rebased, _ := solveCounters(reg); cold != 0 || rebased != 1 {
+		t.Errorf("restored coordinator: cold %d, rebased %d; want 0, 1", cold, rebased)
+	}
+	checkPlanOn(t, nw, b)
 	if restored.Epoch() != st.Epoch+1 {
 		t.Errorf("epoch counter %d, want %d", restored.Epoch(), st.Epoch+1)
+	}
+}
+
+// TestKillRestoreAcrossCSIMove: a coordinator killed between a CSI
+// update and its next epoch, and restored from the state it exported
+// then, stays byte-identical to the uninterrupted one — through the
+// pending rebase, a second CSI update that arrives after the restore
+// but before that epoch, and a later epoch with a further CSI move.
+// The first update fades a link deeply (its pooled columns become
+// infeasible) and the second undoes it, so a restore that rebased on
+// the intermediate gains would lose columns the uninterrupted
+// coordinator keeps.
+func TestKillRestoreAcrossCSIMove(t *testing.T) {
+	nwLive := testNetwork(t, 41, 6, 2)
+	nwRest := testNetwork(t, 41, 6, 2)
+	live, err := NewCoordinator(nwLive, nil, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := func(i int) video.Demand {
+		return video.TwoClass(3e6+float64(i)*4e5, 7e6-float64(i)*5e5)
+	}
+	csi := func(link int, gains []float64, scale float64) []byte {
+		u := ChannelUpdate{Link: uint16(link), Gains: append([]float64(nil), gains...)}
+		for k := range u.Gains {
+			u.Gains[k] *= scale
+		}
+		frame, err := u.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	link2 := append([]float64(nil), nwLive.Gains.Direct[2]...)
+	for i := 0; i < 3; i++ {
+		reportAll(t, live, 6, demand(i))
+		if _, err := live.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A fade lands; the process dies before the next epoch. The
+	// restarted process comes up on the network as the update left it.
+	if err := live.Ingest(csi(2, link2, 0.01)); err != nil {
+		t.Fatal(err)
+	}
+	st := live.ExportState()
+	for l := range nwRest.Gains.Direct {
+		copy(nwRest.Gains.Direct[l], nwLive.Gains.Direct[l])
+	}
+	restored, err := NewCoordinator(nwRest, nil, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	restored.Metrics = reg
+	if err := restored.ImportState(st); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 3; i < 7; i++ {
+		var frame []byte
+		switch i {
+		case 3:
+			// The fade lifts before the epoch runs: the gains are back
+			// where the solver last solved, so both coordinators
+			// re-solve warm, with link 2's columns intact.
+			frame = csi(2, link2, 1)
+		case 5:
+			frame = csi(4, nwLive.Gains.Direct[4], 0.85)
+		}
+		if frame != nil {
+			if err := live.Ingest(frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.Ingest(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reportAll(t, live, 6, demand(i))
+		reportAll(t, restored, 6, demand(i))
+		a, err := live.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := restored.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlan(t, a, b, fmt.Sprintf("epoch %d", i))
+		checkPlanOn(t, nwRest, b)
+		if !reflect.DeepEqual(live.ExportState(), restored.ExportState()) {
+			t.Errorf("epoch %d: exported states differ", i)
+		}
+	}
+	if cold, warm, rebased, _ := solveCounters(reg); cold != 0 || warm != 3 || rebased != 1 {
+		t.Errorf("restored coordinator: cold %d, warm %d, rebased %d; want 0, 3, 1", cold, warm, rebased)
 	}
 }
 
