@@ -24,11 +24,18 @@ lint: vet check-deprecated
 # The deprecated SolveBackground/SolveContext wrappers were removed in
 # favor of Solve(ctx), and host construction moved to functional
 # options (host.New(host.WithWatchdog…)); fail if anything reintroduces
-# a call to the removed or shimmed forms.
+# a call to the removed or shimmed forms. The column-generation
+# accelerations lost their off-switches and experiment.Telemetry gave
+# way to the obs.Registry counters; fail if any of those names returns.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
 	else echo "deprecated-API check passed"; fi
+	@if grep -rnF --include='*.go' -e 'StabilizePolicy' -e 'HeuristicPolicy' \
+		-e 'WithStabilization(' -e 'WithMultiColumn(' -e 'WithHeuristicPricing(' \
+		-e 'experiment.Telemetry' . ; then \
+		echo "error: removed column-generation off-switch or experiment.Telemetry reintroduced (the accelerated loop is the only loop; read solver counters from obs.Registry)"; exit 1; \
+	else echo "removed-switch check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \

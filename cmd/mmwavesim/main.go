@@ -126,12 +126,6 @@ func runCtx(ctx context.Context, args []string) int {
 	cfg.Workers = *workers
 	cfg.CacheProbes = *probeCache
 	cfg.Ctx = ctx
-	var tel *experiment.Telemetry
-	if *verbose {
-		tel = &experiment.Telemetry{}
-		cfg.Telemetry = tel
-	}
-
 	if *printConfig {
 		fmt.Println(cfg)
 		return 0
@@ -186,7 +180,7 @@ func runCtx(ctx context.Context, args []string) int {
 		traceSink = obs.NewJSONLSink(f)
 		cfg.Tracer = obs.New(traceSink)
 	}
-	if *metricsFile != "" {
+	if *metricsFile != "" || *verbose {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
@@ -243,7 +237,7 @@ func runCtx(ctx context.Context, args []string) int {
 			fmt.Fprintf(os.Stderr, "mmwavesim: trace: %d events to %s\n", traceSink.Events(), *traceFile)
 		}
 	}
-	if cfg.Metrics != nil {
+	if *metricsFile != "" {
 		if err := writeMetrics(cfg.Metrics, *metricsFile); err != nil {
 			fmt.Fprintf(os.Stderr, "mmwavesim: -metrics: %v\n", err)
 			if runErr == nil {
@@ -260,10 +254,25 @@ func runCtx(ctx context.Context, args []string) int {
 		}
 		return 1
 	}
-	if tel != nil {
-		fmt.Fprintf(os.Stderr, "mmwavesim: telemetry: %s\n", tel)
+	if *verbose {
+		fmt.Fprintf(os.Stderr, "mmwavesim: telemetry: %s\n", solverSummary(cfg.Metrics))
 	}
 	return 0
+}
+
+// solverSummary renders the campaign's solver counters, as published
+// to the registry by every solve, as one human-readable line.
+func solverSummary(reg *obs.Registry) string {
+	n := func(name string) int64 { return reg.Counter(name).Value() }
+	probes, hits := n("core_probes_total"), n("core_probe_cache_hits_total")
+	rate := 0.0
+	if probes > 0 {
+		rate = float64(hits) / float64(probes)
+	}
+	return fmt.Sprintf("solves=%d iterations=%d master-solves=%d probes=%d cache-hits=%d (%.1f%%) pricer-nodes=%d lp-pivots=%d",
+		n("cg_warm_runs_total")+n("cg_cold_runs_total"), n("core_cg_rounds_total"),
+		n("core_master_solves_total"), probes, hits, 100*rate,
+		n("core_pricer_nodes_total"), n("core_lp_pivots_total"))
 }
 
 // writeMetrics dumps the registry's text exposition to path ("-" means

@@ -464,8 +464,6 @@ func ReportFromHost(rep *host.EpochReport) EpochReport {
 			ControlMessages: r.ControlMessages,
 			Grants:          r.Grants,
 			Degraded:        r.Degraded,
-			ShedLPBits:      r.ShedLPBits,
-			ShedHPBits:      r.ShedHPBits,
 			StaleLinks:      r.StaleLinks,
 			ExpiredLinks:    r.ExpiredLinks,
 			DeferredLinks:   r.DeferredLinks,
@@ -483,6 +481,7 @@ func ReportFromHost(rep *host.EpochReport) EpochReport {
 			wire.CGExactFallbacks = sr.ExactFallbacks
 			wire.CGColumnsAdded = sr.ColumnsAdded
 		}
+		wire.ShedHPBits, wire.ShedLPBits = r.ShedTwoClass()
 		if len(r.ShedByClass) > 2 {
 			wire.ShedByClass = append([]float64(nil), r.ShedByClass...)
 		}

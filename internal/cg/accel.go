@@ -2,28 +2,20 @@ package cg
 
 // This file holds the engine's iteration-count accelerations (DESIGN.md
 // §17): dual stabilization, multi-column admission, and heuristic-first
-// pricing. Each is governed by a policy struct whose zero value means
-// "on", so the accelerated loop is what every caller gets unless it
-// opts out with Disable — and a disabled policy reproduces
-// the historical single-column exact loop byte-for-byte.
-
-// StabilizePolicy configures dual stabilization: pricing runs against a
-// convex combination λ̃ = α·center + (1−α)·λ of the incumbent-dual
-// center and the current master duals, damping the dual oscillation
-// that forces classic column generation through dozens of tail
-// iterations. The trust region closes geometrically: α starts at
-// stabWeight, every stabilized round multiplies it by stabShrink (a
-// mispriced round — no admissible column at λ̃ — shrinks it again), and
-// once α falls below stabMinWeight it snaps to zero and the run
-// finishes with pure unstabilized pricing, so stabilization is a short
-// early transient and convergence is always certified — and Theorem-1
-// bounds are only ever emitted from — exact rounds priced at the true
-// master duals.
-type StabilizePolicy struct {
-	// Disable turns stabilization off (legacy behavior: pricing always
-	// sees the raw master duals).
-	Disable bool
-}
+// pricing. All three are always on; heuristic-first pricing runs only
+// when the engine is given a Options.Heuristic pricer.
+//
+// Dual stabilization: pricing runs against a convex combination
+// λ̃ = α·center + (1−α)·λ of the incumbent-dual center and the current
+// master duals, damping the dual oscillation that forces classic column
+// generation through dozens of tail iterations. The trust region closes
+// geometrically: α starts at stabWeight, every stabilized round
+// multiplies it by stabShrink (a mispriced round — no admissible column
+// at λ̃ — shrinks it again), and once α falls below stabMinWeight it
+// snaps to zero and the run finishes with pure unstabilized pricing, so
+// stabilization is a short early transient and convergence is always
+// certified — and Theorem-1 bounds are only ever emitted from — exact
+// rounds priced at the true master duals.
 
 // Stabilization schedule: the initial center weight α, the factor α
 // shrinks by per stabilized round, and the floor below which α snaps
@@ -34,38 +26,22 @@ const (
 	stabMinWeight = 1.0 / 16
 )
 
-// MultiColumnPolicy configures batch column admission: pricers that pool
-// near-optimal leaves return them in PriceResult.Extras, and the engine
-// admits every batch member whose reduced cost — recomputed at the true
-// master duals — is improving, instead of only the argmax.
-type MultiColumnPolicy struct {
-	// Disable turns batch admission off (legacy behavior: only the
-	// pricer's best schedule is added, and pricers are not asked to
-	// pool leaves).
-	Disable bool
-}
+// MultiColumnPolicy names the batch column admission bound: pricers
+// that pool near-optimal leaves return them in PriceResult.Extras, and
+// the engine admits every batch member whose reduced cost — recomputed
+// at the true master duals — is improving, instead of only the argmax.
+type MultiColumnPolicy struct{}
 
-// Columns returns the per-round pricer-side leaf-pool bound: 32, or 0
-// when disabled, so pricers skip collection entirely.
-func (p MultiColumnPolicy) Columns() int {
-	if p.Disable {
-		return 0
-	}
-	return 32
-}
+// Columns returns the per-round pricer-side leaf-pool bound.
+func (MultiColumnPolicy) Columns() int { return 32 }
 
-// HeuristicPolicy configures heuristic-first pricing: a cheap heuristic
-// pricer (Options.Heuristic, typically the greedy interference-free
-// builder) runs first every round, and the exact pricer fires only when
-// the heuristic's best column fails the reduced-cost test at the true
-// master duals or duplicates a pooled column. Heuristic rounds are
-// never exact: they emit no Theorem-1 bound and can never declare
-// convergence, so the accounting of proven bounds is untouched.
-type HeuristicPolicy struct {
-	// Disable turns heuristic-first pricing off (legacy behavior: the
-	// exact pricer runs every round).
-	Disable bool
-}
+// Heuristic-first pricing: a cheap heuristic pricer (Options.Heuristic,
+// typically the greedy interference-free builder) runs first, and the
+// exact pricer fires only when the heuristic's best column fails the
+// reduced-cost test at the true master duals or duplicates a pooled
+// column. Heuristic rounds are never exact: they emit no Theorem-1
+// bound and can never declare convergence, so the accounting of proven
+// bounds is untouched.
 
 // keepPace gates heuristic acceptance: a heuristic column is taken
 // only while its reduced cost keeps pace with the exact walk's
@@ -75,18 +51,17 @@ type HeuristicPolicy struct {
 // count instead of shrinking the node bill.
 const keepPace = 0.9
 
-// stabilizer is the per-run view of StabilizePolicy: the smoothing
-// weight (which only shrinks within a run) plus the dual center carried
-// in the durable State.
+// stabilizer is the per-run stabilization state: the smoothing weight
+// (which only shrinks within a run) plus the dual center carried in the
+// durable State.
 type stabilizer struct {
-	on      bool
 	weight  float64
 	st      *State
 	scratch [][]float64
 }
 
-func newStabilizer(p StabilizePolicy, st *State) *stabilizer {
-	return &stabilizer{on: !p.Disable, weight: stabWeight, st: st}
+func newStabilizer(st *State) *stabilizer {
+	return &stabilizer{weight: stabWeight, st: st}
 }
 
 // duals returns the pricing duals for this round and whether they are
@@ -94,7 +69,7 @@ func newStabilizer(p StabilizePolicy, st *State) *stabilizer {
 // change invalidates it); without a usable center the round prices pure
 // and the center seeds from these duals at the next recenter.
 func (sb *stabilizer) duals(lambda [][]float64) ([][]float64, bool) {
-	if !sb.on || sb.weight <= 0 || !sameShape(sb.st.stabCenter, lambda) {
+	if sb.weight <= 0 || !sameShape(sb.st.stabCenter, lambda) {
 		return lambda, false
 	}
 	if !sameShape(sb.scratch, lambda) {
@@ -132,9 +107,6 @@ func (sb *stabilizer) decay() {
 // previous solve's optimal duals are exactly the anchor that damps the
 // re-optimization oscillation stabilization targets.
 func (sb *stabilizer) recenter(lambda [][]float64) {
-	if !sb.on {
-		return
-	}
 	if !sameShape(sb.st.stabCenter, lambda) {
 		sb.st.stabCenter = make([][]float64, len(lambda))
 		for c := range lambda {

@@ -54,22 +54,10 @@ type Options struct {
 	// greedy interference-free relaxation) used to form a final valid
 	// bound when the configured pricer dies on cancellation.
 	Fallback Pricer
-	// Heuristic, when non-nil, is the cheap pricer tried first every
-	// round under HeuristicFirst (typically the greedy builder, possibly
-	// configured to peel a column batch). Nil disables heuristic-first
-	// pricing regardless of the policy.
+	// Heuristic, when non-nil, is the cheap pricer tried first each
+	// round (typically the greedy builder, possibly configured to peel
+	// a column batch). Nil disables heuristic-first pricing.
 	Heuristic Pricer
-	// Stabilize governs dual stabilization (zero value: on with
-	// defaults; see StabilizePolicy).
-	Stabilize StabilizePolicy
-	// MultiColumn governs batch column admission from pricer leaf pools
-	// (zero value: on with defaults). The engine side only reads
-	// PriceResult.Extras; the owning solver wires the pool bound into
-	// its pricers via MultiColumnPolicy.Columns.
-	MultiColumn MultiColumnPolicy
-	// HeuristicFirst governs heuristic-first pricing (zero value: on,
-	// effective only when Heuristic is non-nil).
-	HeuristicFirst HeuristicPolicy
 	// MaxIterations caps column-generation rounds; zero means 500.
 	MaxIterations int
 	// Tolerance on the reduced cost: the engine stops when
@@ -181,11 +169,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 	span := tracer.StartSpan(e.model.SpanName())
 	defer span.End()
 
-	sb := newStabilizer(e.opts.Stabilize, st)
-	heur := e.opts.Heuristic
-	if e.opts.HeuristicFirst.Disable {
-		heur = nil
-	}
+	sb := newStabilizer(st)
 	colHist := e.opts.Metrics.Histogram("cg_columns_per_round")
 	lastPhi := 0.0       // last exact round's best reduced cost (≤ 0)
 	exactHalted := false // last exact round hit its budget mid-search
@@ -214,7 +198,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 		// the same round.
 		var pr *PriceResult
 		heuristic := false
-		if heur != nil && exactHalted {
+		if heur := e.opts.Heuristic; heur != nil && exactHalted {
 			if hr, herr := heur.Price(e.nw, priceLam); herr == nil && hr.Schedule != nil {
 				phiH := 1 - hr.Schedule.Value(e.nw, lambda)
 				if phiH < -e.opts.Tolerance && phiH <= keepPace*lastPhi &&
@@ -334,12 +318,7 @@ func (e *Engine) Run(ctx context.Context) (*Outcome, error) {
 			}
 		}
 		for _, sc := range pr.Extras {
-			if sc == nil || e.opts.MultiColumn.Disable {
-				// An explicitly supplied pricer may pool leaves on its
-				// own; the toggle still controls admission.
-				continue
-			}
-			if 1-sc.Value(e.nw, lambda) < -e.opts.Tolerance {
+			if sc != nil && 1-sc.Value(e.nw, lambda) < -e.opts.Tolerance {
 				if _, ok := st.pool.Add(sc); ok {
 					added++
 				}

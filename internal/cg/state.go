@@ -146,6 +146,16 @@ type GCPolicy struct {
 	MinAge int
 }
 
+// OrDefault returns p, or — when p sets no MaxColumns — the default
+// policy for a solver that lives across re-solves of a links-link
+// network: collect past max(32·links, 256) columns at the default age.
+func (p GCPolicy) OrDefault(links int) GCPolicy {
+	if p.MaxColumns != 0 {
+		return p
+	}
+	return GCPolicy{MaxColumns: max(32*links, 256)}
+}
+
 // minAge resolves the policy's age threshold (zero means 2).
 func (p GCPolicy) minAge() int {
 	if p.MinAge <= 0 {

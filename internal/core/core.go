@@ -169,27 +169,6 @@ type Options struct {
 	// feasibility is preserved. The zero value disables collection —
 	// single-shot solves never need it.
 	ColumnGC cg.GCPolicy
-	// Stabilization governs dual stabilization in the engine loop
-	// (DESIGN.md §17): pricing runs at smoothed duals inside a
-	// shrinking trust region, with exactness restored by the final
-	// unstabilized rounds. The zero value enables it with defaults; set
-	// Disable to reproduce the historical unstabilized walk.
-	Stabilization cg.StabilizePolicy
-	// MultiColumn governs multi-column pricing: the pricers pool their
-	// near-optimal leaves and the engine admits every batch member that
-	// improves at the true duals. The zero value enables it with a
-	// bounded default pool; Disable returns to one column per round.
-	// The policy configures the default branch-and-bound pricer (and
-	// the heuristic's peeling width); an explicit Pricer controls its
-	// own leaf pool (BranchBoundPricer.PoolLeaves, MILPPricer.PoolLeaves).
-	MultiColumn cg.MultiColumnPolicy
-	// HeuristicPricing governs heuristic-first pricing: the greedy
-	// builder prices every round first and the exact pricer fires only
-	// when the greedy column fails the reduced-cost test at the true
-	// duals. The zero value enables it; it is automatically off when
-	// the configured pricer is itself the greedy heuristic or uses
-	// fixed-power column semantics the greedy builder would violate.
-	HeuristicPricing cg.HeuristicPolicy
 	// Classes describes the network's traffic classes (names, weights,
 	// SLA floors). Nil means unit-weight classes with no floors — for a
 	// two-class network, exactly the paper's HP/LP model. When set, the
@@ -214,48 +193,47 @@ type Options struct {
 // anytime bound.
 func (o Options) engineOptions() cg.Options {
 	return cg.Options{
-		Pricer:         o.Pricer,
-		Fallback:       GreedyPricer{},
-		Heuristic:      o.heuristicPricer(),
-		Stabilize:      o.Stabilization,
-		MultiColumn:    o.MultiColumn,
-		HeuristicFirst: o.HeuristicPricing,
-		MaxIterations:  o.MaxIterations,
-		Tolerance:      o.Tolerance,
-		GapTarget:      o.GapTarget,
-		GC:             o.ColumnGC,
-		LPOpts:         o.LPOpts,
-		Tracer:         o.Tracer,
-		Metrics:        o.Metrics,
+		Pricer:        o.Pricer,
+		Fallback:      GreedyPricer{},
+		Heuristic:     o.heuristicPricer(),
+		MaxIterations: o.MaxIterations,
+		Tolerance:     o.Tolerance,
+		GapTarget:     o.GapTarget,
+		GC:            o.ColumnGC,
+		LPOpts:        o.LPOpts,
+		Tracer:        o.Tracer,
+		Metrics:       o.Metrics,
 	}
 }
 
 // withDefaultPricer fills a nil Pricer with the default
-// branch-and-bound pricer, pooling leaves per the multi-column policy.
+// branch-and-bound pricer, pooling a multi-column batch of leaves
+// (DESIGN.md §17). An explicit Pricer controls its own leaf pool
+// (BranchBoundPricer.PoolLeaves, MILPPricer.PoolLeaves).
 func (o Options) withDefaultPricer() Options {
 	if o.Pricer == nil {
 		p := NewBranchBoundPricer(0)
-		p.PoolLeaves = o.MultiColumn.Columns()
+		p.PoolLeaves = cg.MultiColumnPolicy{}.Columns()
 		o.Pricer = p
 	}
 	return o
 }
 
 // heuristicPricer picks the heuristic-first pricer for the engine: the
-// greedy builder, peeling a column batch when multi-column admission is
-// on. It returns nil — disabling heuristic-first pricing — when the
-// policy says so, when the main pricer is already the greedy heuristic
-// (running it twice per round buys nothing), or when the main pricer
-// prices fixed-power columns (the greedy builder adapts powers, and the
-// fixed-power ablation's master pool must stay PMax-only).
+// greedy builder, peeling a multi-column batch. It returns nil —
+// disabling heuristic-first pricing — when the main pricer is already
+// the greedy heuristic (running it twice per round buys nothing), or
+// when the main pricer prices fixed-power columns (the greedy builder
+// adapts powers, and the fixed-power ablation's master pool must stay
+// PMax-only).
 func (o Options) heuristicPricer() cg.Pricer {
-	if o.HeuristicPricing.Disable || o.fixedPower() {
+	if o.fixedPower() {
 		return nil
 	}
 	if _, ok := o.Pricer.(GreedyPricer); ok {
 		return nil
 	}
-	return GreedyPricer{PoolColumns: o.MultiColumn.Columns()}
+	return GreedyPricer{PoolColumns: cg.MultiColumnPolicy{}.Columns()}
 }
 
 // fixedPower reports whether the pricer builds fixed-power (PMax)

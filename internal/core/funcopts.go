@@ -47,26 +47,6 @@ func WithProbeCache(on bool) Option { return func(o *Options) { o.CacheProbes = 
 // that stayed nonbasic for policy.MinAge solves.
 func WithColumnGC(policy cg.GCPolicy) Option { return func(o *Options) { o.ColumnGC = policy } }
 
-// WithStabilization sets the dual-stabilization policy (see
-// Options.Stabilization). The zero policy enables stabilization with
-// defaults; pass cg.StabilizePolicy{Disable: true} to reproduce the
-// historical unstabilized walk.
-func WithStabilization(p cg.StabilizePolicy) Option { return func(o *Options) { o.Stabilization = p } }
-
-// WithMultiColumn sets the multi-column pricing policy (see
-// Options.MultiColumn). The zero policy enables leaf pooling with the
-// default batch size; pass cg.MultiColumnPolicy{Disable: true} for
-// the historical one-column-per-round loop.
-func WithMultiColumn(p cg.MultiColumnPolicy) Option { return func(o *Options) { o.MultiColumn = p } }
-
-// WithHeuristicPricing sets the heuristic-first pricing policy (see
-// Options.HeuristicPricing). The zero policy runs the greedy pricer
-// ahead of the exact one each round; pass cg.HeuristicPolicy{Disable:
-// true} to price exactly every round.
-func WithHeuristicPricing(p cg.HeuristicPolicy) Option {
-	return func(o *Options) { o.HeuristicPricing = p }
-}
-
 // WithLP passes options through to the master-problem LP solves.
 func WithLP(lo lp.Options) Option { return func(o *Options) { o.LPOpts = lo } }
 

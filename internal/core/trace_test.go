@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mmwave/internal/cg"
 	"mmwave/internal/obs"
 )
 
@@ -132,14 +131,7 @@ func TestMetricsPublished(t *testing.T) {
 	demands := uniformDemands(6, 4e6, 2e6)
 
 	reg := obs.NewRegistry()
-	// The accelerations are off here on purpose: this test checks the
-	// metric plumbing of the classic exact walk (probes, pivots, master
-	// solves all nonzero), and heuristic-first pricing legitimately
-	// resolves this instance with barely any exact search.
-	s, err := New(nw, demands, WithMetrics(reg),
-		WithStabilization(cg.StabilizePolicy{Disable: true}),
-		WithMultiColumn(cg.MultiColumnPolicy{Disable: true}),
-		WithHeuristicPricing(cg.HeuristicPolicy{Disable: true}))
+	s, err := New(nw, demands, WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

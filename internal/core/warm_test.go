@@ -133,15 +133,8 @@ func TestColumnGCPreservesOptimum(t *testing.T) {
 	d0 := uniformDemands(6, 4e6, 2e6)
 
 	seedCols := len(d0) * 2 // TDMA seeds two columns per link
-	// Accelerations off: this test exercises GC mechanics, which need
-	// the classic walk's steady column churn — the stabilized
-	// heuristic-first loop admits too few extra columns to ever exceed
-	// the tiny budget.
 	s, err := NewSolver(nw, d0, Options{
-		ColumnGC:         cg.GCPolicy{MaxColumns: seedCols + 3, MinAge: 1},
-		Stabilization:    cg.StabilizePolicy{Disable: true},
-		MultiColumn:      cg.MultiColumnPolicy{Disable: true},
-		HeuristicPricing: cg.HeuristicPolicy{Disable: true},
+		ColumnGC: cg.GCPolicy{MaxColumns: seedCols + 3, MinAge: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -259,7 +259,8 @@ func ChaosSoak(cc ChaosSoakConfig) (*ChaosSoakResult, error) {
 						i, epoch, lb, obj, a.Result.TruncatedSolve)
 				}
 				// Invariant 4: LP is exhausted before any HP is shed.
-				if a.Result.ShedHPBits > 1e-9 {
+				shedHP, shedLP := a.Result.ShedTwoClass()
+				if shedHP > 1e-9 {
 					res.HPShedEpochs++
 					var lpLeft float64
 					for _, d := range a.Result.Demands {
@@ -267,10 +268,10 @@ func ChaosSoak(cc ChaosSoakConfig) (*ChaosSoakResult, error) {
 					}
 					if lpLeft > 1e-9 {
 						res.violate("cell %d epoch %d: %g HP bits shed while %g LP bits remained",
-							i, epoch, a.Result.ShedHPBits, lpLeft)
+							i, epoch, shedHP, lpLeft)
 					}
 				}
-				if a.Result.ShedLPBits > 1e-9 || a.Result.ShedHPBits > 1e-9 {
+				if shedLP > 1e-9 || shedHP > 1e-9 {
 					res.ShedEpochs++
 				}
 			}

@@ -94,11 +94,6 @@ type Config struct {
 	// costs more than the probes it saves (DESIGN.md §9).
 	CacheProbes bool
 
-	// Telemetry, when non-nil, accumulates solver counters (probes,
-	// master solves, cache hit rate) across every proposed-scheme run
-	// of the campaign. Safe to share across workers.
-	Telemetry *Telemetry
-
 	// Tracer, when non-nil, is attached to every solver the campaign
 	// builds (core.Options.Tracer): each solve emits its span and
 	// per-iteration cg.iteration events. Plans and campaign output are

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"mmwave/internal/obs"
 )
 
 // parallelConfig is fastConfig with enough repetitions that a 4-worker
@@ -160,26 +162,26 @@ func TestCacheProbesIdenticalPlans(t *testing.T) {
 	}
 }
 
-// TestTelemetryAccumulates checks the campaign counters add up across
-// a sweep and survive concurrent recording.
+// TestTelemetryAccumulates checks the solver counters every solve
+// publishes to the campaign registry add up across a sweep and survive
+// concurrent recording.
 func TestTelemetryAccumulates(t *testing.T) {
 	cfg := parallelConfig()
 	cfg.Workers = 4
-	tel := &Telemetry{}
-	cfg.Telemetry = tel
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
 	if _, err := Fig1(cfg, []float64{4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	// 2 points × 4 reps, proposed runs once per (point, rep).
-	if got := tel.Runs.Load(); got != 8 {
-		t.Errorf("telemetry runs = %d, want 8", got)
+	// 2 points × 4 reps, proposed runs once per (point, rep), each a
+	// fresh (cold) solver.
+	n := func(name string) int64 { return reg.Counter(name).Value() }
+	if got := n("cg_cold_runs_total") + n("cg_warm_runs_total"); got != 8 {
+		t.Errorf("solver runs = %d, want 8", got)
 	}
-	if tel.Probes.Load() <= 0 || tel.MasterSolves.Load() <= 0 {
-		t.Errorf("telemetry missing counters: %s", tel)
+	for _, name := range []string{"core_probes_total", "core_master_solves_total", "core_cg_rounds_total"} {
+		if n(name) <= 0 {
+			t.Errorf("%s = %d, want > 0", name, n(name))
+		}
 	}
-	if s := tel.String(); s == "" {
-		t.Error("empty telemetry string")
-	}
-	var nilTel *Telemetry
-	nilTel.Record(nil) // must not panic
 }

@@ -67,14 +67,7 @@ func RunWarmReuse(wc WarmReuseConfig) (*WarmReuseResult, error) {
 			return nil, err
 		}
 		opts := wc.Net.solverOptions()
-		opts.ColumnGC = wc.GC
-		if opts.ColumnGC.MaxColumns == 0 {
-			n := 32 * inst.Network.NumLinks()
-			if n < 256 {
-				n = 256
-			}
-			opts.ColumnGC = cg.GCPolicy{MaxColumns: n}
-		}
+		opts.ColumnGC = wc.GC.OrDefault(inst.Network.NumLinks())
 		warm, err := core.NewSolver(inst.Network, inst.Demands, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: warm reuse: %w", err)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"mmwave/internal/cg"
 	"mmwave/internal/core"
 	"mmwave/internal/faults"
 	"mmwave/internal/obs"
@@ -92,8 +91,6 @@ type EpochResult struct {
 	// class). Class c sheds only after every class below it in priority
 	// (higher index) was shed entirely.
 	ShedByClass    []float64
-	ShedLPBits     float64 // legacy view: bits shed from classes 1..N−1
-	ShedHPBits     float64 // legacy view: bits shed from class 0 (only after all others)
 	StaleLinks     []int   // links scheduled from decayed last-known-good demand
 	ExpiredLinks   []int   // links dropped because their fallback aged out
 	DeferredLinks  []int   // links deferred as unservable (blocked or dropped out)
@@ -103,6 +100,20 @@ type EpochResult struct {
 	BackoffSeconds float64 // idle backoff accumulated by retries
 	TruncatedSolve bool    // the P1 solve hit its budget; Plan is anytime
 	WarmSolve      bool    // the P1 solve reused the previous epoch's pool and basis
+}
+
+// ShedTwoClass folds ShedByClass into the paper's two-class view: hp
+// is the bits shed from class 0 (only after all others), lp the bits
+// shed from classes 1..N−1.
+func (r *EpochResult) ShedTwoClass() (hp, lp float64) {
+	for cl, bits := range r.ShedByClass {
+		if cl == 0 {
+			hp = bits
+		} else {
+			lp += bits
+		}
+	}
+	return hp, lp
 }
 
 // StalenessError returns an errors.Is-able ErrStaleState describing
@@ -261,13 +272,8 @@ func (c *Coordinator) RunEpochContext(ctx context.Context) (*EpochResult, error)
 			return nil, err
 		}
 		var shedTotal float64
-		for cl, bits := range out.ShedByClass {
+		for _, bits := range out.ShedByClass {
 			shedTotal += bits
-			if cl == 0 {
-				out.ShedHPBits = bits
-			} else {
-				out.ShedLPBits += bits
-			}
 		}
 		span.Emit(obs.Event{Name: "epoch.shed", N: shedTotal, Msg: "lowest-class-first"})
 	}
@@ -355,8 +361,9 @@ func (c *Coordinator) publishEpoch(out *EpochResult) {
 	if out.TruncatedSolve {
 		m.Counter("pnc_truncated_solves_total").Inc()
 	}
-	m.Gauge("pnc_shed_lp_bits").Add(out.ShedLPBits)
-	m.Gauge("pnc_shed_hp_bits").Add(out.ShedHPBits)
+	shedHP, shedLP := out.ShedTwoClass()
+	m.Gauge("pnc_shed_lp_bits").Add(shedLP)
+	m.Gauge("pnc_shed_hp_bits").Add(shedHP)
 	for cl, bits := range out.ShedByClass {
 		if bits > 0 {
 			m.Gauge(fmt.Sprintf("pnc_shed_bits_class_%d", cl)).Add(bits)
@@ -477,13 +484,7 @@ func (c *Coordinator) solverOptions() core.Options {
 	if opts.Metrics == nil {
 		opts.Metrics = c.Metrics
 	}
-	if opts.ColumnGC.MaxColumns == 0 {
-		n := 32 * c.Network.NumLinks()
-		if n < 256 {
-			n = 256
-		}
-		opts.ColumnGC = cg.GCPolicy{MaxColumns: n}
-	}
+	opts.ColumnGC = opts.ColumnGC.OrDefault(c.Network.NumLinks())
 	return opts
 }
 

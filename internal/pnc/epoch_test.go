@@ -333,8 +333,8 @@ func TestShedLPBeforeHP(t *testing.T) {
 	if !res.Degraded {
 		t.Fatal("over-budget epoch not flagged degraded")
 	}
-	if res.ShedLPBits <= 0 || res.ShedHPBits != 0 {
-		t.Fatalf("mid-budget shed LP=%v HP=%v, want LP>0 HP=0", res.ShedLPBits, res.ShedHPBits)
+	if shedHP, shedLP := res.ShedTwoClass(); shedLP <= 0 || shedHP != 0 {
+		t.Fatalf("mid-budget shed LP=%v HP=%v, want LP>0 HP=0", shedLP, shedHP)
 	}
 	for l := range demands {
 		if res.Demands[l].At(0) != demands[l].At(0) {
@@ -350,7 +350,7 @@ func TestShedLPBeforeHP(t *testing.T) {
 
 	// Budget below even HP-only: all LP gone, HP scaled.
 	res = runWithBudget(hpTime * 0.7)
-	if res.ShedHPBits <= 0 {
+	if shedHP, _ := res.ShedTwoClass(); shedHP <= 0 {
 		t.Fatal("sub-HP budget shed no HP")
 	}
 	var lpLeft float64

@@ -79,8 +79,12 @@ func TestEpochObservability(t *testing.T) {
 	if got := reg.Counter("pnc_shed_epochs_total").Value(); got != 1 {
 		t.Errorf("pnc_shed_epochs_total = %d, want 1", got)
 	}
-	if shed := reg.Gauge("pnc_shed_lp_bits").Value(); shed != traced.ShedLPBits {
-		t.Errorf("pnc_shed_lp_bits = %v, want %v", shed, traced.ShedLPBits)
+	shedHP, shedLP := traced.ShedTwoClass()
+	if shed := reg.Gauge("pnc_shed_lp_bits").Value(); shed != shedLP {
+		t.Errorf("pnc_shed_lp_bits = %v, want %v", shed, shedLP)
+	}
+	if shed := reg.Gauge("pnc_shed_hp_bits").Value(); shed != shedHP {
+		t.Errorf("pnc_shed_hp_bits = %v, want %v", shed, shedHP)
 	}
 	// The per-epoch solves publish through the same registry.
 	if reg.Counter("core_master_solves_total").Value() == 0 {
