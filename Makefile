@@ -26,7 +26,9 @@ lint: vet check-deprecated
 # options (host.New(host.WithWatchdog…)); fail if anything reintroduces
 # a call to the removed or shimmed forms. The column-generation
 # accelerations lost their off-switches and experiment.Telemetry gave
-# way to the obs.Registry counters; fail if any of those names returns.
+# way to the obs.Registry counters; dual stabilization and the engine's
+# persisted dual vectors were deleted outright. Fail if any of those
+# names returns.
 check-deprecated:
 	@if grep -rn --include='*.go' -e 'SolveBackground(' -e 'SolveContext(' -e 'host\.NewFromOptions(' . ; then \
 		echo "error: deprecated API used (call Solve(ctx) / host.New(With…) instead)"; exit 1; \
@@ -36,6 +38,10 @@ check-deprecated:
 		-e 'experiment.Telemetry' . ; then \
 		echo "error: removed column-generation off-switch or experiment.Telemetry reintroduced (the accelerated loop is the only loop; read solver counters from obs.Registry)"; exit 1; \
 	else echo "removed-switch check passed"; fi
+	@if grep -rnF --include='*.go' -e 'stabCenter' -e 'StabCenter' -e 'newStabilizer' \
+		-e 'cg_stab_rounds_total' -e 'CGStabRounds' -e 'LastDuals' . ; then \
+		echo "error: dual stabilization or persisted engine duals reintroduced (every column-generation round prices at the true master duals)"; exit 1; \
+	else echo "removed-stabilization check passed"; fi
 	@if grep -rn --include='*.go' -E '\.(HP|LP)\b' . \
 		| grep -vE 'schedule\.(HP|LP)\b' \
 		| grep -v '^\./internal/schedule/' \

@@ -420,7 +420,6 @@ type EpochResult struct {
 	// byte-compatible), zero when the epoch served a cached plan and
 	// ran no solve.
 	CGIterations     int `json:"cg_iterations,omitempty"`
-	CGStabRounds     int `json:"cg_stab_rounds,omitempty"`
 	CGHeuristicHits  int `json:"cg_heuristic_hits,omitempty"`
 	CGExactFallbacks int `json:"cg_exact_fallbacks,omitempty"`
 	CGColumnsAdded   int `json:"cg_columns_added,omitempty"`
@@ -476,7 +475,6 @@ func ReportFromHost(rep *host.EpochReport) EpochReport {
 		}
 		if sr := r.Solver; sr != nil {
 			wire.CGIterations = sr.Rounds
-			wire.CGStabRounds = sr.StabRounds
 			wire.CGHeuristicHits = sr.HeuristicHits
 			wire.CGExactFallbacks = sr.ExactFallbacks
 			wire.CGColumnsAdded = sr.ColumnsAdded

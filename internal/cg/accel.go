@@ -1,30 +1,12 @@
 package cg
 
 // This file holds the engine's iteration-count accelerations (DESIGN.md
-// §17): dual stabilization, multi-column admission, and heuristic-first
-// pricing. All three are always on; heuristic-first pricing runs only
-// when the engine is given a Options.Heuristic pricer.
-//
-// Dual stabilization: pricing runs against a convex combination
-// λ̃ = α·center + (1−α)·λ of the incumbent-dual center and the current
-// master duals, damping the dual oscillation that forces classic column
-// generation through dozens of tail iterations. The trust region closes
-// geometrically: α starts at stabWeight, every stabilized round
-// multiplies it by stabShrink (a mispriced round — no admissible column
-// at λ̃ — shrinks it again), and once α falls below stabMinWeight it
-// snaps to zero and the run finishes with pure unstabilized pricing, so
-// stabilization is a short early transient and convergence is always
-// certified — and Theorem-1 bounds are only ever emitted from — exact
-// rounds priced at the true master duals.
-
-// Stabilization schedule: the initial center weight α, the factor α
-// shrinks by per stabilized round, and the floor below which α snaps
-// to zero (pricing turns exact for the rest of the run).
-const (
-	stabWeight    = 0.5
-	stabShrink    = 0.5
-	stabMinWeight = 1.0 / 16
-)
+// §17): multi-column admission and heuristic-first pricing. Both are
+// always on; heuristic-first pricing runs only when the engine is given
+// a Options.Heuristic pricer. Every round prices at the true master
+// duals — the paper's §III update rule re-solves from the existing pool
+// with plain column generation, and dual smoothing measured
+// net-negative on warm re-solves (DESIGN.md §17).
 
 // MultiColumnPolicy names the batch column admission bound: pricers
 // that pool near-optimal leaves return them in PriceResult.Extras, and
@@ -50,89 +32,3 @@ func (MultiColumnPolicy) Columns() int { return 32 }
 // defer the exact pricer's much stronger batch and inflate the round
 // count instead of shrinking the node bill.
 const keepPace = 0.9
-
-// stabilizer is the per-run stabilization state: the smoothing weight
-// (which only shrinks within a run) plus the dual center carried in the
-// durable State.
-type stabilizer struct {
-	weight  float64
-	st      *State
-	scratch [][]float64
-}
-
-func newStabilizer(st *State) *stabilizer {
-	return &stabilizer{weight: stabWeight, st: st}
-}
-
-// duals returns the pricing duals for this round and whether they are
-// smoothed. The center must match the current dual shape (a class-count
-// change invalidates it); without a usable center the round prices pure
-// and the center seeds from these duals at the next recenter.
-func (sb *stabilizer) duals(lambda [][]float64) ([][]float64, bool) {
-	if sb.weight <= 0 || !sameShape(sb.st.stabCenter, lambda) {
-		return lambda, false
-	}
-	if !sameShape(sb.scratch, lambda) {
-		sb.scratch = make([][]float64, len(lambda))
-		for c := range lambda {
-			sb.scratch[c] = make([]float64, len(lambda[c]))
-		}
-	}
-	a := sb.weight
-	for c := range lambda {
-		for l := range lambda[c] {
-			sb.scratch[c][l] = a*sb.st.stabCenter[c][l] + (1-a)*lambda[c][l]
-		}
-	}
-	// The trust region closes whether or not the round prices well:
-	// stabilization damps the first few dual vectors (the oscillation
-	// it targets) and then gets out of the exact walk's way.
-	sb.decay()
-	return sb.scratch, true
-}
-
-// decay closes the trust region one step; below the floor the weight
-// snaps to zero and the remaining rounds price at the true duals.
-func (sb *stabilizer) decay() {
-	sb.weight *= stabShrink
-	if sb.weight < stabMinWeight {
-		sb.weight = 0
-	}
-}
-
-// recenter moves the center to the duals the run ends on — the last
-// incumbent optimum. The engine calls it only at a run's exit, never
-// mid-run: a cold walk's early duals are TDMA-seeded noise that would
-// drag λ̃ toward a center not worth trusting, while across epochs the
-// previous solve's optimal duals are exactly the anchor that damps the
-// re-optimization oscillation stabilization targets.
-func (sb *stabilizer) recenter(lambda [][]float64) {
-	if !sameShape(sb.st.stabCenter, lambda) {
-		sb.st.stabCenter = make([][]float64, len(lambda))
-		for c := range lambda {
-			sb.st.stabCenter[c] = make([]float64, len(lambda[c]))
-		}
-	}
-	for c := range lambda {
-		copy(sb.st.stabCenter[c], lambda[c])
-	}
-}
-
-// misprice shrinks the trust region again after a stabilized round
-// that admitted nothing: the center is pulling toward duals the pool
-// has already priced out, so close in on the true duals faster.
-func (sb *stabilizer) misprice() {
-	sb.decay()
-}
-
-func sameShape(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-	}
-	return len(a) > 0
-}

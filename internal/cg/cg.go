@@ -10,8 +10,8 @@
 // while the problem-specific master formulation plugs in through the
 // MasterModel interface.
 //
-// Engine state (the schedule pool, the warm simplex basis, the probe
-// cache, and the last duals) is held in a State that survives demand
+// Engine state (the schedule pool, the warm simplex basis and the probe
+// cache) is held in a State that survives demand
 // changes, so re-solves — the paper's §III update rule, and the PNC
 // epoch loop — start from everything the previous solve paid for
 // instead of TDMA-cold. A gain change keeps the recently useful part

@@ -167,8 +167,6 @@ func TestStateRebase(t *testing.T) {
 	copy(st.lastBasic, stamps)
 	st.warmBasis = []lp.BasisVar{{Kind: lp.BasisStructural, Index: 5}}
 	st.prob, st.cols = lp.NewProblem(nil), 12
-	st.lastDuals = [][]float64{{1}}
-	st.stabCenter = [][]float64{{1}}
 	st.stats.Rounds = 42
 	cache := st.probeCache
 
@@ -217,9 +215,6 @@ func TestStateRebase(t *testing.T) {
 	}
 	if st.warmBasis != nil || st.prob != nil || st.solver != nil || st.cols != 0 {
 		t.Error("master or warm basis survived the rebase")
-	}
-	if st.lastDuals != nil || st.stabCenter != nil {
-		t.Error("duals or stabilization center survived the rebase")
 	}
 	if st.probeCache == nil || st.probeCache == cache {
 		t.Error("probe cache not replaced")

@@ -11,8 +11,8 @@ import (
 // StateSnapshot is the serializable image of a State: everything a
 // coordinator must persist so a restarted process re-solves exactly
 // where the dead one left off. It captures the durable half only — the
-// schedule pool, the warm basis, the GC bookkeeping, and the last
-// duals. The incrementally built master problem and its simplex engine
+// schedule pool, the warm basis, the GC bookkeeping and the work
+// counters. The incrementally built master problem and its simplex engine
 // are deliberately excluded: RestoreState leaves them nil and the next
 // solveMaster rebuilds them from the pool, the same lazy path a column
 // GC already exercises, so a restored solve is byte-identical to an
@@ -31,13 +31,6 @@ type StateSnapshot struct {
 	LastBasic []int
 	// Runs counts completed engine runs.
 	Runs int
-	// LastDuals are the final class-major pricing duals of the previous
-	// run (one vector per traffic class).
-	LastDuals [][]float64
-	// StabCenter is the dual-stabilization center (nil when cold), so a
-	// restarted process stabilizes around the same incumbent duals the
-	// dead one had earned.
-	StabCenter [][]float64
 	// Stats carries the lifetime work counters, so per-run deltas and
 	// published metrics stay continuous across a restore.
 	Stats Stats
@@ -54,12 +47,6 @@ func (st *State) Snapshot() *StateSnapshot {
 		LastBasic: append([]int(nil), st.lastBasic...),
 		Runs:      st.runs,
 		Stats:     st.stats,
-	}
-	for _, d := range st.lastDuals {
-		snap.LastDuals = append(snap.LastDuals, append([]float64(nil), d...))
-	}
-	for _, d := range st.stabCenter {
-		snap.StabCenter = append(snap.StabCenter, append([]float64(nil), d...))
 	}
 	for j := range snap.Schedules {
 		snap.Schedules[j] = st.pool.At(j).Clone()
@@ -108,12 +95,6 @@ func RestoreState(snap *StateSnapshot, cacheProbes bool) (*State, error) {
 	st.warmBasis = append([]lp.BasisVar(nil), snap.WarmBasis...)
 	st.lastBasic = append([]int(nil), snap.LastBasic...)
 	st.runs = snap.Runs
-	for _, d := range snap.LastDuals {
-		st.lastDuals = append(st.lastDuals, append([]float64(nil), d...))
-	}
-	for _, d := range snap.StabCenter {
-		st.stabCenter = append(st.stabCenter, append([]float64(nil), d...))
-	}
 	st.stats = snap.Stats
 	return st, nil
 }

@@ -9,9 +9,8 @@ import (
 // State is the durable half of the engine: everything a solve pays for
 // that stays valid when only the right-hand sides move. It holds the
 // schedule pool, the incrementally built master problem, the previous
-// optimal basis (the warm start), the pricing probe cache, the last
-// duals, and the lifetime work counters. One State may serve many
-// Run calls — the §III update rule and the PNC epoch loop both re-solve
+// optimal basis (the warm start), the pricing probe cache and the
+// lifetime work counters. One State may serve many Run calls — the §III update rule and the PNC epoch loop both re-solve
 // the same network under new demands, and every pooled column, every
 // memoized probe, and the final basis of the previous solve carry over.
 //
@@ -57,23 +56,10 @@ type State struct {
 	lastBasic []int
 	runs      int // completed Run calls
 
-	// lastDuals are the class-major pricing duals of the final master
-	// solve of the previous run, kept for diagnostics and dual-warm
-	// heuristics.
-	lastDuals [][]float64
-
 	// lastFill is the LU fill-in ratio (factor nonzeros / basis
 	// nonzeros) of the most recent master factorization, exported as a
 	// gauge by the engine.
 	lastFill float64
-
-	// stabCenter is the dual-stabilization center (class-major, the
-	// duals of the last round that admitted a column — see DESIGN.md
-	// §17). Like lastDuals it survives demand changes and epochs; a
-	// CSI change resets it (Rebase) and a topology change discards the
-	// State, so a stale center never leaks across network regimes. Nil
-	// means cold (first stabilized round prices pure and seeds it).
-	stabCenter [][]float64
 
 	stats Stats
 }
@@ -103,16 +89,6 @@ func (st *State) Seed(schedules []*schedule.Schedule) {
 
 // Pool exposes the current column pool (read-only use).
 func (st *State) Pool() *schedule.Pool { return st.pool }
-
-// Runs returns the number of completed Run calls against this state.
-func (st *State) Runs() int { return st.runs }
-
-// LastDuals returns the class-major pricing duals of the previous
-// run's final master solve (nil before the first run).
-func (st *State) LastDuals() [][]float64 { return st.lastDuals }
-
-// StabCenter returns the dual-stabilization center (nil when cold).
-func (st *State) StabCenter() [][]float64 { return st.stabCenter }
 
 // syncBookkeeping grows lastBasic to match the pool, stamping new
 // columns with the current run index so freshly priced columns get a
@@ -232,9 +208,8 @@ func (st *State) gc(policy GCPolicy, model MasterModel) int {
 // coefficients — or nil when it is no longer feasible. Survivors follow
 // the seeds in their old order and keep their run stamps. Everything
 // priced on the old gains is reset: the master problem and its solver,
-// the warm basis, the probe cache, the last duals and the
-// stabilization center, so the next master solve starts cold on the
-// (small) carried pool. The run counter and the lifetime work counters
+// the warm basis and the probe cache, so the next master solve starts
+// cold on the (small) carried pool. The run counter and the lifetime work counters
 // carry on. It returns the number of non-seed columns carried and
 // dropped.
 func (st *State) Rebase(policy GCPolicy, seeds []*schedule.Schedule, carry func(*schedule.Schedule) *schedule.Schedule) (carried, dropped int) {
@@ -276,7 +251,5 @@ func (st *State) Rebase(policy GCPolicy, seeds []*schedule.Schedule, carry func(
 	if st.probeCache != nil {
 		st.probeCache = netmodel.NewProbeCache()
 	}
-	st.lastDuals = nil
-	st.stabCenter = nil
 	return carried, dropped
 }

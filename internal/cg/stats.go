@@ -36,8 +36,9 @@ type Stats struct {
 	// EvictedColumns counts pool columns dropped by the garbage
 	// collector.
 	EvictedColumns int
-	// StabRounds counts rounds priced at smoothed (stabilized) duals
-	// rather than the true master duals (DESIGN.md §17).
+	// StabRounds is always zero: every round prices at the true master
+	// duals since dual stabilization was removed (DESIGN.md §17). The
+	// field stays because the perfbench per-layer ledger still reads it.
 	StabRounds int
 	// HeuristicHits counts rounds where the heuristic pricer's column
 	// passed the reduced-cost test and the exact pricer never ran.

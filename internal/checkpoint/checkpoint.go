@@ -1,6 +1,6 @@
 // Package checkpoint persists a coordinator's durable state — the
 // pnc.CoordState (demand fallbacks, control accounting, epoch counter,
-// and the cg engine snapshot: schedule pool, warm basis, last duals)
+// and the cg engine snapshot: schedule pool, warm basis, work counters)
 // plus the fault injector's RNG position — as a versioned, CRC-guarded
 // binary image with atomic write-rename persistence. A restored
 // coordinator re-solves byte-identically to the one that wrote the
@@ -64,8 +64,11 @@ const (
 	// two-class special case. Version 5 appended the engine's dual-
 	// stabilization center and the acceleration work counters
 	// (stabilized rounds, heuristic hits, exact fallbacks, columns
-	// added); older images decode with a cold center and zero counters.
-	version = 5
+	// added); older images decode with zero counters. Version 6 dropped
+	// the engine's two dual-vector slots (last duals and stabilization
+	// center) when the engine stopped keeping them; v2–v5 images still
+	// decode, with those slots read and discarded.
+	version = 6
 	// minVersion is the oldest format this build still decodes.
 	minVersion = 2
 	// headerLen is magic + version + fingerprint; trailerLen the CRC.
@@ -272,35 +275,42 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Save writes the snapshot atomically: encode, write to a temp file in
-// the target directory, fsync, rename. A crash mid-save leaves either
-// the previous checkpoint or none — never a torn image.
+// Save writes the snapshot atomically (see WriteFile). A crash
+// mid-save leaves either the previous checkpoint or none — never a torn
+// image.
 func Save(path string, s *Snapshot) error {
 	data, err := s.Encode()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := WriteFile(path, data); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
+}
+
+// WriteFile replaces path with data atomically: write a temp file in
+// the same directory, fsync, rename. The temp file is removed on every
+// failure path, so a failed write leaves the directory as it was.
+func WriteFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Load reads and decodes a snapshot from disk.
@@ -478,14 +488,6 @@ func encodeEngine(w *writer, s *cg.StateSnapshot) {
 		w.i64(int64(v))
 	}
 	w.i64(int64(s.Runs))
-	w.u16(uint16(len(s.LastDuals)))
-	for _, d := range s.LastDuals {
-		encodeFloats(w, d)
-	}
-	w.u16(uint16(len(s.StabCenter)))
-	for _, d := range s.StabCenter {
-		encodeFloats(w, d)
-	}
 	for _, v := range []int{
 		s.Stats.Rounds, s.Stats.Probes, s.Stats.MasterSolves,
 		s.Stats.CacheHits, s.Stats.CacheMisses, s.Stats.PricerNodes,
@@ -519,24 +521,17 @@ func decodeEngine(r *reader) *cg.StateSnapshot {
 		s.LastBasic[i] = int(r.i64())
 	}
 	s.Runs = int(r.i64())
-	if r.ver >= 4 {
-		nd := int(r.u16())
-		for i := 0; i < nd; i++ {
-			s.LastDuals = append(s.LastDuals, decodeFloats(r))
-		}
-	} else {
-		// v2/v3 stored exactly two dual vectors (HP then LP); a pair of
-		// empty vectors meant "no previous run".
-		hp, lpd := decodeFloats(r), decodeFloats(r)
-		if len(hp) > 0 || len(lpd) > 0 {
-			s.LastDuals = [][]float64{hp, lpd}
-		}
+	// Pre-v6 images carry the engine's last duals (v2/v3: exactly two
+	// vectors, HP then LP; v4/v5: a counted list) and, from v5, the
+	// dual-stabilization center. Neither feeds the solve any more.
+	switch {
+	case r.ver < 4:
+		skipFloats(r, 2)
+	case r.ver < 6:
+		skipFloats(r, int(r.u16()))
 	}
-	if r.ver >= 5 {
-		nc := int(r.u16())
-		for i := 0; i < nc; i++ {
-			s.StabCenter = append(s.StabCenter, decodeFloats(r))
-		}
+	if r.ver == 5 {
+		skipFloats(r, int(r.u16()))
 	}
 	ints := []*int{
 		&s.Stats.Rounds, &s.Stats.Probes, &s.Stats.MasterSolves,
@@ -559,6 +554,13 @@ func encodeFloats(w *writer, fs []float64) {
 	w.u32(uint32(len(fs)))
 	for _, f := range fs {
 		w.f64(f)
+	}
+}
+
+// skipFloats reads and discards n float vectors.
+func skipFloats(r *reader, n int) {
+	for i := 0; i < n && r.err == nil; i++ {
+		decodeFloats(r)
 	}
 }
 

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"reflect"
 	"testing"
 
@@ -39,13 +40,20 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	// Legacy images seed the backward-compatibility decode paths: a
 	// version-3 one (fixed HP/LP demand pairs, two dual vectors) and a
-	// version-4 one (class-aware, but no stabilization center).
+	// version-4 one (class-aware duals, no acceleration counters).
 	_, v3 := v3Snapshot(f)
 	f.Add(v3)
 	_, v4 := v4Snapshot(f)
 	f.Add(v4)
 	f.Add([]byte("MWCK"))
 	f.Add([]byte{})
+	// A recorded version-5 image (last duals and stabilization center,
+	// both read and discarded since v6).
+	v5, err := os.ReadFile(v5Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v5)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)

@@ -76,15 +76,6 @@ type Result struct {
 	Stop error
 }
 
-// CacheHitRate returns the fraction of feasibility probes answered by
-// the probe cache, 0 when no probes ran.
-func (r *Result) CacheHitRate() float64 {
-	if r.Probes == 0 {
-		return 0
-	}
-	return float64(r.CacheHits) / float64(r.Probes)
-}
-
 // Gap returns the relative optimality gap (UB−LB)/UB of the result, 0
 // when converged to optimality.
 func (r *Result) Gap() float64 {
@@ -313,8 +304,8 @@ func NewSolver(nw *netmodel.Network, demands []video.Demand, opts Options) (*Sol
 }
 
 // StateSnapshot exports a serializable image of the solver's durable
-// engine state (schedule pool, warm basis, GC bookkeeping, last duals)
-// for checkpointing. See cg.StateSnapshot for what is and is not
+// engine state (schedule pool, warm basis, GC bookkeeping, work
+// counters) for checkpointing. See cg.StateSnapshot for what is and is not
 // captured.
 func (s *Solver) StateSnapshot() *cg.StateSnapshot {
 	return s.engine.State().Snapshot()
@@ -359,12 +350,11 @@ func NewSolverFromSnapshot(nw *netmodel.Network, demands []video.Demand, opts Op
 // is re-powered to its minimal powers (PMax under a fixed-power
 // pricer) and kept only if it validates under the new gains. Levels
 // are unchanged, so the carried columns' rate vectors — the master
-// coefficients — are too. The master, warm basis, probe cache, last
-// duals and stabilization center are reset (cg.State.Rebase), so the
-// next Solve starts from a cold master over the carried pool. Demands
-// are kept; links the new gains made unservable are caught by the next
-// SetDemands. It returns the number of non-seed columns carried and
-// dropped.
+// coefficients — are too. The master, warm basis and probe cache are
+// reset (cg.State.Rebase), so the next Solve starts from a cold master
+// over the carried pool. Demands are kept; links the new gains made
+// unservable are caught by the next SetDemands. It returns the number
+// of non-seed columns carried and dropped.
 func (s *Solver) Rebase(nw *netmodel.Network) (carried, dropped int, err error) {
 	if err := nw.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("core: invalid network: %w", err)

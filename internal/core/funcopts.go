@@ -1,8 +1,6 @@
 package core
 
 import (
-	"mmwave/internal/cg"
-	"mmwave/internal/lp"
 	"mmwave/internal/netmodel"
 	"mmwave/internal/obs"
 	"mmwave/internal/video"
@@ -37,24 +35,6 @@ func WithTolerance(tol float64) Option { return func(o *Options) { o.Tolerance =
 // WithGapTarget enables early termination at the given relative UB/LB
 // gap (the paper's Theorem-1 stopping rule).
 func WithGapTarget(gap float64) Option { return func(o *Options) { o.GapTarget = gap } }
-
-// WithProbeCache toggles cross-iteration memoization of pricing
-// feasibility probes (see Options.CacheProbes for the trade-off).
-func WithProbeCache(on bool) Option { return func(o *Options) { o.CacheProbes = on } }
-
-// WithColumnGC bounds pool growth across re-solves of the same solver
-// (see Options.ColumnGC): pools past policy.MaxColumns drop columns
-// that stayed nonbasic for policy.MinAge solves.
-func WithColumnGC(policy cg.GCPolicy) Option { return func(o *Options) { o.ColumnGC = policy } }
-
-// WithLP passes options through to the master-problem LP solves.
-func WithLP(lo lp.Options) Option { return func(o *Options) { o.LPOpts = lo } }
-
-// WithClasses attaches a traffic-class table: per-class quality
-// weights, priority ranks, and optional minimum-rate SLAs. A nil table
-// (the default) means unit weights and no floors — the paper's
-// two-class behavior.
-func WithClasses(cs video.Classes) Option { return func(o *Options) { o.Classes = cs } }
 
 // WithTracer attaches a trace-event consumer: every column-generation
 // iteration, pricing round, and master solve under this solver emits

@@ -59,8 +59,8 @@ func TestWarmResolveByteIdentical(t *testing.T) {
 		// The pool already holds every needed column, so the warm solve
 		// converges in one round; the basis is already optimal, so the
 		// master re-solve pivots strictly less than the cold run did.
-		if len(warm.Iterations) >= len(cold.Iterations) && len(cold.Iterations) > 1 {
-			t.Errorf("L=%d: warm took %d iterations, cold %d", nLinks, len(warm.Iterations), len(cold.Iterations))
+		if len(warm.Iterations) != 1 || warm.Rounds != 1 {
+			t.Errorf("L=%d: warm took %d iterations (%d rounds), want exactly 1", nLinks, len(warm.Iterations), warm.Rounds)
 		}
 		if cold.LPPivots > 0 && warm.LPPivots >= cold.LPPivots {
 			t.Errorf("L=%d: warm pivots %d not below cold %d", nLinks, warm.LPPivots, cold.LPPivots)

@@ -66,11 +66,6 @@ type Config struct {
 
 	// PricerBudget caps pricing search nodes (0 = package default).
 	PricerBudget int
-	// MaxIterations caps column-generation rounds (0 = default).
-	MaxIterations int
-	// GapTarget stops column generation early at this relative
-	// optimality gap (0 = solve to optimality).
-	GapTarget float64
 	// FixedPower disables power adaptation in the proposed scheme
 	// (ablation).
 	FixedPower bool

@@ -24,9 +24,6 @@ type FaultSweepConfig struct {
 	// Rates are the control-frame loss probabilities swept on the
 	// x-axis; nil means DefaultFaultRates.
 	Rates []float64
-	// Faults beyond frame loss, applied at every sweep point on top of
-	// the swept loss rate (CtrlLoss is overwritten per point).
-	Faults faults.Config
 	// Failures injects mid-epoch link outages into every epoch's slot
 	// execution (on top of the control-plane faults).
 	Failures []faults.LinkFailure
@@ -124,11 +121,9 @@ func faultRep(fc FaultSweepConfig, lossRate float64, rep int) (hpFrac, lpFrac, d
 	}
 	L := inst.Network.NumLinks()
 
-	fcfg := fc.Faults
-	fcfg.CtrlLoss = lossRate
 	// Derive the injector seed from (base seed, rep) only, so sweeping
 	// the rate reuses the same fault timeline skeleton per repetition.
-	fcfg.Seed = cfg.Seed<<16 ^ int64(rep+1)
+	fcfg := faults.Config{CtrlLoss: lossRate, Seed: cfg.Seed<<16 ^ int64(rep+1)}
 	var inj *faults.Injector
 	if fcfg.Enabled() {
 		inj, err = faults.New(fcfg, L)

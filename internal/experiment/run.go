@@ -104,15 +104,12 @@ func (c Config) pricer() core.Pricer {
 
 // solverOptions builds the core.Options every proposed-scheme solve of
 // the campaign shares, including the campaign's tracer and metrics
-// registry. (The quality solver ignores GapTarget, so one helper serves
-// both modes.)
+// registry; one helper serves both the P1 and the quality mode.
 func (c Config) solverOptions() core.Options {
 	return core.Options{
-		Pricer:        c.pricer(),
-		MaxIterations: c.MaxIterations,
-		GapTarget:     c.GapTarget,
-		CacheProbes:   c.CacheProbes,
-		Tracer:        c.Tracer,
-		Metrics:       c.Metrics,
+		Pricer:      c.pricer(),
+		CacheProbes: c.CacheProbes,
+		Tracer:      c.Tracer,
+		Metrics:     c.Metrics,
 	}
 }

@@ -25,10 +25,6 @@ type WarmReuseConfig struct {
 	// scale (each epoch draws a factor in [1−j, 1+j] per link). Zero
 	// re-solves identical demands every epoch.
 	DemandJitter float64
-	// GC bounds the persistent solver's pool; the zero value uses the
-	// engine default for long-lived solvers (32 columns per link,
-	// min 256).
-	GC cg.GCPolicy
 }
 
 // DefaultWarmReuseConfig returns an 8-epoch study at reduced scale
@@ -67,7 +63,9 @@ func RunWarmReuse(wc WarmReuseConfig) (*WarmReuseResult, error) {
 			return nil, err
 		}
 		opts := wc.Net.solverOptions()
-		opts.ColumnGC = wc.GC.OrDefault(inst.Network.NumLinks())
+		// The persistent solver's pool is bounded by the engine default
+		// for long-lived solvers (32 columns per link, min 256).
+		opts.ColumnGC = cg.GCPolicy{}.OrDefault(inst.Network.NumLinks())
 		warm, err := core.NewSolver(inst.Network, inst.Demands, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: warm reuse: %w", err)

@@ -347,8 +347,6 @@ type Options struct {
 	// MaxIter caps total pivots across both phases. Zero means the
 	// default (20000 + 50·(rows+cols)).
 	MaxIter int
-	// Tol is the feasibility/optimality tolerance. Zero means 1e-9.
-	Tol float64
 	// WarmBasis, when non-nil, seeds the solve with a previously
 	// returned basis: if it is still primal feasible for the (possibly
 	// column-extended) problem, phase 1 is skipped entirely. An
@@ -363,6 +361,9 @@ type Options struct {
 	// rejected by shape).
 	Dense bool
 }
+
+// solveTol is the feasibility/optimality tolerance of every solve.
+const solveTol = 1e-9
 
 // Solve optimizes the problem with default options.
 func Solve(p *Problem) (*Solution, error) { return SolveWith(p, Options{}) }

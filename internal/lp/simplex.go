@@ -46,10 +46,7 @@ func (s *Solver) Solve(opt Options) (*Solution, error) {
 			return nil, err
 		}
 	}
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-9
-	}
+	tol := solveTol
 	maxIter := opt.MaxIter
 	if maxIter <= 0 {
 		maxIter = 20000 + 50*(p.NumRows()+p.NumVars())

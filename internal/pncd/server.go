@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"mmwave/internal/api"
+	"mmwave/internal/checkpoint"
 	"mmwave/internal/experiment"
 	"mmwave/internal/host"
 	"mmwave/internal/netmodel"
@@ -44,18 +45,13 @@ type Config struct {
 	MaxTotalLinks int
 	// ReportRetention is the per-cell report ring size (zero means 128).
 	ReportRetention int
-	// Metrics receives the host_*/pnc_*/cg_* series and is served at
-	// /metrics. Nil allocates a fresh registry.
-	Metrics *obs.Registry
-	// Tracer, when non-nil, receives host span events.
-	Tracer *obs.Tracer
 }
 
 // Server hosts cells behind the v1 API. Construct with New, mount
 // Handler, stop with Drain then Close.
 type Server struct {
 	cfg  Config
-	reg  *obs.Registry
+	reg  *obs.Registry // host_*/pnc_*/cg_* series, served at /metrics
 	host *host.Host
 	mux  *http.ServeMux
 
@@ -113,16 +109,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ReportRetention <= 0 {
 		cfg.ReportRetention = 128
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	hostOpts := []host.Option{
 		host.WithWatchdog(cfg.Watchdog),
 		host.WithAdmission(cfg.MaxCells, cfg.MaxTotalLinks),
 		host.WithWorkers(cfg.Workers),
 		host.WithMetrics(reg),
-		host.WithTracer(cfg.Tracer),
 	}
 	if cfg.StateDir != "" {
 		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
@@ -246,8 +238,8 @@ func (s *Server) admit(rec cellRecord, id int) (*cellState, error) {
 	return cs, nil
 }
 
-// persist atomically rewrites the cell's spec record (temp + rename,
-// the checkpoint package's durability idiom).
+// persist atomically rewrites the cell's spec record
+// (checkpoint.WriteFile).
 func (s *Server) persist(cs *cellState) error {
 	if s.cfg.StateDir == "" {
 		return nil
@@ -257,22 +249,7 @@ func (s *Server) persist(cs *cellState) error {
 	if err != nil {
 		return err
 	}
-	path := s.specPath(cs.id)
-	tmp, err := os.CreateTemp(s.cfg.StateDir, "spec-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return checkpoint.WriteFile(s.specPath(cs.id), data)
 }
 
 func (s *Server) specPath(id int) string {
@@ -288,9 +265,6 @@ func (s *Server) lookup(id int) *cellState {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Registry returns the metrics registry served at /metrics.
-func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Drain moves the server into draining: mutating requests are refused
 // with the draining code, in-flight solves are canceled (truncating to

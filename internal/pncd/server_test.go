@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -547,5 +549,32 @@ func TestEvict(t *testing.T) {
 	}
 	if len(cellsList) != 1 || cellsList[0].Cell != st2.Cell {
 		t.Fatalf("recovered %+v, want only cell %d", cellsList, st2.Cell)
+	}
+}
+
+// TestCreatePersistFailureLeavesNoTemp: when the spec record cannot be
+// renamed into place (here cell0.spec.json is a non-empty directory),
+// create fails and the state directory holds nothing it did not hold
+// before — no stray temp file.
+func TestCreatePersistFailureLeavesNoTemp(t *testing.T) {
+	ctx := context.Background()
+	stateDir := t.TempDir()
+	_, client := newTestServer(t, Config{StateDir: stateDir})
+	blocker := filepath.Join(stateDir, "cell0.spec.json")
+	if err := os.MkdirAll(filepath.Join(blocker, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	nw := api.NetworkFromModel(testNetwork(t, 63))
+	if _, err := client.CreateCell(ctx, api.CellSpec{Network: &nw}); err == nil {
+		t.Fatal("create succeeded although its spec record could not be written")
+	}
+	entries, err := os.ReadDir(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "cell0.spec.json" {
+			t.Errorf("state directory holds %s after the failed create", e.Name())
+		}
 	}
 }
