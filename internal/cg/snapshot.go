@@ -12,12 +12,12 @@ import (
 // coordinator must persist so a restarted process re-solves exactly
 // where the dead one left off. It captures the durable half only — the
 // schedule pool, the warm basis, the GC bookkeeping and the work
-// counters. The incrementally built master problem and its simplex engine
-// are deliberately excluded: RestoreState leaves them nil and the next
-// solveMaster rebuilds them from the pool, the same lazy path a column
-// GC already exercises, so a restored solve is byte-identical to an
-// uninterrupted one (same columns, same warm basis, same walk). The
-// probe cache is also excluded: its contents change only telemetry
+// counters. The incrementally built master problem and its simplex
+// engine are deliberately excluded: RestoreState leaves them nil and
+// the next solveMaster rebuilds them from the pool, the same lazy path
+// a column GC already exercises, so a restored solve is byte-identical
+// to an uninterrupted one (same columns, same warm basis, same walk).
+// The probe cache is also excluded: its contents change only telemetry
 // (cache hit counters), never plans, so a restored state starts with a
 // cold cache.
 type StateSnapshot struct {

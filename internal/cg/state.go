@@ -10,9 +10,10 @@ import (
 // that stays valid when only the right-hand sides move. It holds the
 // schedule pool, the incrementally built master problem, the previous
 // optimal basis (the warm start), the pricing probe cache and the
-// lifetime work counters. One State may serve many Run calls — the §III update rule and the PNC epoch loop both re-solve
-// the same network under new demands, and every pooled column, every
-// memoized probe, and the final basis of the previous solve carry over.
+// lifetime work counters. One State may serve many Run calls — the
+// §III update rule and the PNC epoch loop both re-solve the same
+// network under new demands, and every pooled column, every memoized
+// probe, and the final basis of the previous solve carry over.
 //
 // A State's columns, probe cache and basis are valid for the network
 // they were priced on. When only the gains move (a CSI update), Rebase
@@ -209,9 +210,9 @@ func (st *State) gc(policy GCPolicy, model MasterModel) int {
 // the seeds in their old order and keep their run stamps. Everything
 // priced on the old gains is reset: the master problem and its solver,
 // the warm basis and the probe cache, so the next master solve starts
-// cold on the (small) carried pool. The run counter and the lifetime work counters
-// carry on. It returns the number of non-seed columns carried and
-// dropped.
+// cold on the (small) carried pool. The run counter and the lifetime
+// work counters carry on. It returns the number of non-seed columns
+// carried and dropped.
 func (st *State) Rebase(policy GCPolicy, seeds []*schedule.Schedule, carry func(*schedule.Schedule) *schedule.Schedule) (carried, dropped int) {
 	minAge := policy.minAge()
 	pool := schedule.NewPool()

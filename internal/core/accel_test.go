@@ -43,7 +43,8 @@ func checkPlanServes(t *testing.T, tag string, nw *netmodel.Network, demands []v
 }
 
 // TestAcceleratedSolveProperties is the acceptance property for the
-// accelerated engine (multi-column + heuristic-first pricing), across ≥50 seeded Table-I-style instances:
+// accelerated engine (multi-column + heuristic-first pricing), across
+// ≥50 seeded Table-I-style instances:
 //
 //  1. the solve converges with a closed Theorem-1 certificate
 //     (Gap ≤ 1e-6), and on the instances small enough to enumerate

@@ -305,8 +305,8 @@ func NewSolver(nw *netmodel.Network, demands []video.Demand, opts Options) (*Sol
 
 // StateSnapshot exports a serializable image of the solver's durable
 // engine state (schedule pool, warm basis, GC bookkeeping, work
-// counters) for checkpointing. See cg.StateSnapshot for what is and is not
-// captured.
+// counters) for checkpointing. See cg.StateSnapshot for what is and is
+// not captured.
 func (s *Solver) StateSnapshot() *cg.StateSnapshot {
 	return s.engine.State().Snapshot()
 }
